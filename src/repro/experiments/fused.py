@@ -55,8 +55,9 @@ from ..core.registry import get_policy
 from ..errors import ConfigError, FaultInjected, ParallelError, TransportError
 from ..graph.andor import Application
 from ..power.overhead import NO_OVERHEAD
-from ..sim.compiled import (CompiledKernel, compile_plan, run_dynamic_batch,
-                            run_fixed_batch, supports_dynamic_batch)
+from ..sim.compiled import (CompiledKernel, compile_plan, path_groups,
+                            run_dynamic_batch, run_fixed_batch,
+                            supports_dynamic_batch)
 from ..sim.realization import sample_realization_batch
 from ..sim.sweepc import (StackedProgram, _stack_values, fused_bytes_estimate,
                           plan_shards, programs_compatible, stack_programs)
@@ -405,9 +406,13 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
         sub_counts = [counts[i] for i in dyn_points]
         sub_offsets = np.concatenate(([0], np.cumsum(sub_counts)))
         sub_matrix = matrix[sel]
-        sub_choices = {name: v[sel] for name, v in choices.items()}
-        sub_groups, sub_keys = stacked_dyn.executed_paths(
-            sub_choices, sel.size)
+        # same section topology as the static program, so the selected
+        # runs' paths are the static grouping's, sliced — no re-walk
+        path_id = np.empty(total, dtype=np.intp)
+        for g, (_path, idx) in enumerate(groups):
+            path_id[idx] = g
+        sub_groups, sub_keys = path_groups([path for path, _idx in groups],
+                                           path_id[sel])
         sub_point_of = np.repeat(np.arange(len(dyn_points)), sub_counts)
         sub_batches = [batches[i] for i in dyn_points]
         return _View(stacked_dyn, dyn_plans, dyn_progs, sub_batches,

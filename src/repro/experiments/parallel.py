@@ -228,8 +228,11 @@ def map_evaluations(apps: Sequence[Application],
             # managing their own pools as before
             point_ctx = None if owned else ctx
             for i in pending:
-                results[i] = evaluate_application(apps[i], configs[i],
-                                                  context=point_ctx)
+                # the cache was probed above: pass the missed key on so
+                # the point stores itself without a second lookup
+                results[i] = evaluate_application(
+                    apps[i], configs[i], context=point_ctx,
+                    cache_key=keys[i] if keys else None)
             return results
         # workers must not nest pools: point configs go out serial
         computed = ctx.map(

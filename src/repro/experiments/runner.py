@@ -506,7 +506,9 @@ def evaluate_application(app: Application,
                          config: RunConfig,
                          n_jobs: Optional[int] = None,
                          runs_per_chunk: Optional[int] = None,
-                         context=None) -> EvaluationResult:
+                         context=None,
+                         cache_key: Optional[str] = None
+                         ) -> EvaluationResult:
     """Simulate ``config.n_runs`` paired runs of every scheme on ``app``.
 
     ``n_jobs``/``runs_per_chunk`` override the corresponding
@@ -523,13 +525,16 @@ def evaluate_application(app: Application,
     an ephemeral per-evaluation pool), its ``shared_memory`` flag picks
     the chunk transport, and its attached evaluation cache is consulted
     before computing and filled after.  None of this changes results —
-    only where and how fast they are computed.
+    only where and how fast they are computed.  A caller that has
+    already looked the point up in that cache and missed passes the
+    key it probed as ``cache_key``: the lookup is not repeated, and the
+    result is stored under that key.
     """
     from .engine import (ExecutionContext, _eval_chunk_task, resolve_jobs,
                          share_batch)
 
     cache = context.cache if context is not None else None
-    if cache is not None:
+    if cache is not None and cache_key is None:
         from .evalcache import evaluation_key
         cache_key = evaluation_key(app, config)
         cached = cache.get(cache_key, app.name, config)

@@ -191,46 +191,104 @@ class CompiledPlan:
         ``groups`` is a list of ``(path, run_indices)`` pairs in first-
         occurrence order and ``keys`` the per-run path key, formatted
         exactly like ``ExecutionPath.key()`` (``"0>2>5"``).
+
+        All runs walk their sections together: each step looks up the
+        distinct current sections, reads every run's choice at once and
+        gives every distinct extended prefix an integer id.  A bad
+        choice (no entry for an OR node, or a section that is not one of
+        its successors) raises for the first offending run in run order,
+        as a run-by-run walk would.
         """
-        picks = {name: (seq.tolist() if isinstance(seq, np.ndarray) else
-                        list(seq))
-                 for name, seq in choices.items()}
         sections = self.sections
-        root = self.root_sid
-        by_path: Dict[Tuple[int, ...], List[int]] = {}
-        key_of: Dict[Tuple[int, ...], str] = {}
-        keys: List[str] = []
-        for i in range(n):
-            sid = root
-            path = [sid]
-            while True:
+        n_ids = max(sections) + 1
+        picks = {name: np.asarray(seq) for name, seq in choices.items()}
+        prefixes: List[Tuple[int, ...]] = [(self.root_sid,)]
+        pid = np.zeros(n, dtype=np.intp)          # each run's prefix id
+        runs = np.arange(n)                       # still walking, ascending
+        cur = np.full(n, self.root_sid, dtype=np.intp)
+        fresh = 0                  # the walking runs' prefixes are >= this
+        err_run, err = n, None
+        while runs.size:
+            # next section per walking run: -1 = path complete, -2 = error
+            nxt = np.full(runs.size, -1, dtype=np.intp)
+            for sid in np.bincount(cur).nonzero()[0].tolist():
                 sec = sections[sid]
                 if sec.exit_or is None or not sec.branch_ids:
-                    break
+                    continue
+                at = (cur == sid).nonzero()[0]
                 if sec.forced_target is not None:
-                    sid = sec.forced_target
-                else:
-                    try:
-                        sid = picks[sec.exit_or][i]
-                    except KeyError:
-                        raise SimulationError(
+                    nxt[at] = sec.forced_target
+                    continue
+                seq = picks.get(sec.exit_or)
+                if seq is None:
+                    nxt[at] = -2
+                    if runs[at[0]] < err_run:
+                        err_run = int(runs[at[0]])
+                        err = SimulationError(
                             f"realization has no branch choice for OR "
-                            f"node {sec.exit_or!r}") from None
-                    if sid not in sec.branch_set:
-                        raise SimulationError(
-                            f"realization chose section {sid} at "
+                            f"node {sec.exit_or!r}")
+                    continue
+                chosen = seq[runs[at]]
+                bad = chosen != sec.branch_ids[0]
+                for target in sec.branch_ids[1:]:
+                    bad &= chosen != target
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    if runs[at[k]] < err_run:
+                        err_run = int(runs[at[k]])
+                        err = SimulationError(
+                            f"realization chose section {chosen[k]} at "
                             f"{sec.exit_or!r}, not a successor path")
-                path.append(sid)
-            tup = tuple(path)
-            runs = by_path.get(tup)
-            if runs is None:
-                by_path[tup] = runs = []
-                key_of[tup] = ">".join(str(s) for s in tup)
-            runs.append(i)
-            keys.append(key_of[tup])
-        groups = [(path, np.asarray(runs, dtype=np.intp))
-                  for path, runs in by_path.items()]
-        return groups, keys
+                    chosen = np.where(bad, -2, chosen)
+                nxt[at] = chosen
+            go = nxt >= 0
+            runs = runs[go]
+            cur = nxt[go]
+            # number the extended prefixes: (prefix, next section) pairs
+            # are dense small integers, so a bincount finds the distinct
+            # ones without sorting
+            pair = (pid[runs] - fresh) * n_ids + cur
+            seen = np.bincount(pair).nonzero()[0]
+            number = np.empty(int(seen[-1]) + 1 if seen.size else 0,
+                              dtype=np.intp)
+            base = len(prefixes)
+            number[seen] = np.arange(base, base + seen.size)
+            prefixes.extend(prefixes[fresh + p // n_ids] + (p % n_ids,)
+                            for p in seen.tolist())
+            fresh = base
+            pid[runs] = number[pair]
+        if err is not None:
+            raise err
+        return path_groups(prefixes, pid)
+
+
+def path_groups(paths: Sequence[Tuple[int, ...]], ids: np.ndarray
+                ) -> Tuple[List[Tuple[Tuple[int, ...], np.ndarray]],
+                           List[str]]:
+    """``(groups, keys)`` of runs whose executed path is ``paths[ids[i]]``.
+
+    The :meth:`CompiledPlan.executed_paths` result shape: groups in
+    first-occurrence order (paths no run took are left out), each with
+    its ascending run indices, and the per-run ``"0>2>5"`` keys — each
+    key string formatted once per distinct path.
+    """
+    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    n_paths = len(paths)
+    # one stable sort lays every path's runs out contiguously and in
+    # run order; 16-bit keys sort by radix
+    order = np.argsort(ids.astype(np.uint16) if n_paths <= 1 << 16
+                       else ids, kind="stable")
+    counts = np.bincount(ids, minlength=n_paths)
+    starts = np.cumsum(counts) - counts
+    used = counts.nonzero()[0]
+    used = used[np.argsort(order[starts[used]])]     # first-occurrence order
+    groups = [(tuple(paths[p]), order[starts[p]:starts[p] + counts[p]])
+              for p in used.tolist()]
+    rank = np.empty(n_paths, dtype=np.intp)
+    rank[used] = np.arange(used.size)
+    key_of = np.array([">".join(str(s) for s in path) for path, _ in groups],
+                      dtype=object)
+    return groups, key_of[rank[ids]].tolist()
 
 
 #: cross-instance program cache keyed by plan *fingerprint* (graph,

@@ -11,9 +11,10 @@
     other tier is pinned exact-float-equal to it by the golden suites.
 ``numpy``
     The tape interpreter (:mod:`.interp`) — programs lowered once to
-    flat arrays (:mod:`.tape`), predecessor max-reductions done as CSR
-    gathers, per-point constants gathered a section at a time.  The
-    default when numba is absent.
+    flat arrays (:mod:`.tape`), each OR-path prefix executed once for
+    every run below it, processor state kept processor-major,
+    per-point constants gathered a section at a time.  The default
+    when numba is absent.
 ``jit``
     numba-compiled scalar cores over the same tape
     (:mod:`.jit` / :mod:`.jitcore`), ``fastmath=False`` so IEEE

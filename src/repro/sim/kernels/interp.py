@@ -1,42 +1,55 @@
 """The ``numpy`` kernel tier: batch kernels over the lowered tape.
 
-Same group-at-a-time vectorization as the legacy entry-tuple loop in
-``repro.sim.compiled``, but iterating the program's
-:class:`~repro.sim.kernels.tape.SectionTape` instead of per-entry
-tuples: predecessor readiness is a CSR-row gather + ``max`` reduction
-(one ``np.maximum`` against the single-predecessor column, or a fancy
-slice ``fin[:, pred].max(axis=1)`` for joins) and a stacked section's
-per-point constants are gathered for *all* entries at once
-(``c_pt[:, pt]``) instead of one ``_gather`` per entry.
+The kernels walk the **prefix trie** of a call's executed paths.  Every
+path starts at the root section and forks only at OR nodes, where all
+processors synchronize; so runs whose paths share a prefix run that
+prefix identically up to the fork.  The runs are ordered once so every
+trie subtree is one contiguous row range, and each section executes
+once for all runs under its trie node: the root once for the whole
+batch, a shared prefix once for every path below it.  At an OR split a child inherits only what the
+synchronization carries: each run's section end time ``t_end`` and,
+in the dynamic kernel, each processor's speed-level index and the
+run's floor.  These live in whole-batch arrays in trie order, so a
+child reads them as slices; everything else (processor free times,
+the finish buffer, the section's actual times) is sized per section
+and released before the walk descends.
+
+Inside a section the processor state is processor-major, ``(m,
+runs)``: the lowest-id idle processor is one contiguous ``min``
+reduction plus a weighted ``max`` over the equality mask (the first
+minimum, exactly ``argmin``'s tie-break), and its free time and speed
+index are updated through flat indices.  Predecessor readiness is a
+row gather and ``max`` over the section's finish buffer, and a stacked
+section's per-point constants are gathered for every entry at once.
 
 Bit-identity with the legacy tier holds operation by operation:
 
+* every per-run quantity sees the same float operations in the same
+  order — a shared prefix computes, for each of its runs, exactly what
+  simulating that run's path on its own computes;
 * ``max(a, max(b, c))`` equals the legacy fold ``maximum(maximum(...))``
-  exactly — max is associative and exact on floats;
-* when an entry has no predecessors, ``ready`` aliases ``t_section``
-  instead of copying it; both kernels only ever *rebind* ``t_section``,
-  never mutate it in place, so the values are the same objects' floats;
+  exactly — max is associative and exact on floats — and the section's
+  end time is the same left fold over the finish buffer's rows;
+* the lowest-id idle processor's free time *is* the column minimum, so
+  no gather is needed;
 * the per-entry constant is the same float whether read from the tape
   lane, the Python tuple, or a broadcast row of ``c_pt``;
-* the WCET check runs once per *path group* over every computation
-  entry on the path at once (``act > guard`` with the guard products
-  precomputed and concatenated per path on the tape) instead of once
-  per entry — the same comparisons on the same floats, just batched —
-  and the fixed kernel likewise batches ``actual / speed`` and the
-  busy-energy product per section (identical elementwise operations,
-  consumed column by column in entry order).
+* the fixed kernel batches ``actual / speed`` and the busy-energy
+  product per section (identical elementwise operations, consumed row
+  by row in entry order).
 
-Error classes, messages and the group-order error surface match the
-legacy kernels; entry names come from ``tape.names`` only on those
-paths (the path-level check re-scans section by section on violation
-to reproduce the legacy selection: first entry in path order with any
-violating run, first violating run in the group).  One documented
-divergence: because the WCET check is hoisted ahead of the group's
-dispatch loop, a batch containing *both* a WCET violation and a
-guarantee violation in the same path group may report the WCET error
-where the legacy entry loop would have reported the guarantee error
-first.  Realization sampling clamps actuals to WCET, so this defensive
-path never fires on sampler-produced batches.
+Error classes and messages match the legacy kernels.  The WCET check
+runs ahead of the walk in path-group order: one column-max comparison
+against the tape's smallest per-column guard clears the common case,
+and otherwise each group re-scans its path section by section, so the
+raised error is the legacy selection (first group, first entry in path
+order with a violating run, first violating run of the group).
+Guarantee, deadline and negative-idle errors name the first failing
+run in *trie order* — guarantee errors at the first section of the
+depth-first walk that violates — where the legacy loop names the first
+failing run in path-group order.  Realization sampling clamps actuals
+to WCET and the offline plans guarantee feasibility, so these paths
+fire only on doctored batches.
 """
 
 from __future__ import annotations
@@ -54,15 +67,17 @@ from ..compiled import (
     DynamicBatchResult,
     FixedBatchResult,
     _at,
-    _gather,
 )
 from .tape import build_tape
 
+#: up to this many runs a section picks processors with ``argmin``
+#: (fewer calls); above it the contiguous reductions win
+_SMALL_SECTION = 256
+
 
 def _check_wcet(st, block: np.ndarray,
-                c_all: Optional[np.ndarray]) -> np.ndarray:
-    """One whole-section WCET check; returns the section's actual-time
-    columns ``(ng, n_comp)`` in computation-entry order.
+                c_all: Optional[np.ndarray]) -> None:
+    """One whole-section WCET check over a path group's rows.
 
     The guard products (``c * (1 + 1e-9)``) are precomputed on the tape
     for the scalar case, so the comparisons are float-for-float the ones
@@ -84,22 +99,144 @@ def _check_wcet(st, block: np.ndarray,
         raise SimulationError(
             f"actual time {act[k, e_rel]} of {st.names[e]!r} "
             f"exceeds WCET {_at(c_g, k)}")
-    return act
 
 
-def _raise_first_wcet(tape, path, block: np.ndarray,
-                      pt: Optional[np.ndarray]) -> None:
-    """Legacy-order error selection once the path-level WCET check has
-    tripped: re-scan the sections in path order; the first one with a
-    violation raises through :func:`_check_wcet`."""
-    for sid in path:
-        st = tape.sections[sid]
-        if st.comp_sel.size:
-            c_all = (st.c_pt[:, pt]
-                     if st.c_pt is not None and pt is not None else None)
-            _check_wcet(st, block, c_all)
-    raise AssertionError(
-        "path-level WCET check tripped but no section reproduced it")
+def _precheck_wcet(tape, matrix: np.ndarray, groups,
+                   point_of: Optional[np.ndarray]) -> None:
+    """Raise the legacy WCET error, if any run exceeds a WCET on its path.
+
+    A batch whose every column stays within the smallest guard any point
+    applies to it passes outright (``fmax`` skips NaN, which fails every
+    comparison anyway).  Otherwise the groups are re-scanned in group
+    order, section by section along each path.
+    """
+    if matrix.shape[0] == 0:
+        return
+    guard = tape.col_guard
+    if not (np.fmax.reduce(matrix[:, :guard.size], axis=0) > guard).any():
+        return
+    for path, idx in groups:
+        block = matrix[idx]
+        pt = point_of[idx] if point_of is not None else None
+        for sid in path:
+            st = tape.sections[sid]
+            if st.comp_sel.size:
+                c_all = (st.c_pt[:, pt]
+                         if st.c_pt is not None and pt is not None
+                         else None)
+                _check_wcet(st, block, c_all)
+
+
+def _split(leaves, depth: int):
+    """Partition trie-ordered leaves by their section at ``depth``:
+    ``[(sid, lo, hi, leaves), ...]`` in row order."""
+    out = []
+    start = 0
+    for i in range(1, len(leaves) + 1):
+        if (i == len(leaves)
+                or leaves[i][0][depth] != leaves[start][0][depth]):
+            kids = leaves[start:i]
+            out.append((kids[0][0][depth], kids[0][1], kids[-1][2], kids))
+            start = i
+    return out
+
+
+def _trie(groups):
+    """Order the path groups' runs so each trie subtree is contiguous.
+
+    Returns ``(perm, leaves)``: ``perm`` lists the run indices in trie
+    order and ``leaves`` the ``(path, lo, hi)`` row range of each group
+    there.  Siblings keep the order of their first group, and runs keep
+    their order within a group.
+    """
+    paths = [tuple(path) for path, _idx in groups]
+    first = {}
+    for g, path in enumerate(paths):
+        for d in range(1, len(path) + 1):
+            first.setdefault(path[:d], g)
+    order = sorted(range(len(paths)), key=lambda g: tuple(
+        first[paths[g][:d]] for d in range(1, len(paths[g]) + 1)))
+    leaves = []
+    lo = 0
+    for g in order:
+        hi = lo + groups[g][1].size
+        leaves.append((paths[g], lo, hi))
+        lo = hi
+    perm = np.concatenate([groups[g][1] for g in order]
+                          + [np.empty(0, dtype=np.intp)])
+    return perm, leaves
+
+
+def _walk(leaves):
+    """Depth-first walk of the trie: yields ``(sid, lo, hi, children)``
+    per node, ``children`` being the :func:`_split` of the nodes one OR
+    below it.  An explicit stack, so no frame outlives its node."""
+    stack = [(0, node) for node in reversed(_split(leaves, 0))]
+    while stack:
+        depth, (sid, lo, hi, sub) = stack.pop()
+        children = []
+        if depth + 1 < len(sub[0][0]):
+            children = _split(sub, depth + 1)
+        yield sid, lo, hi, children
+        for child in reversed(children):
+            stack.append((depth + 1, child))
+
+
+def _per_run(value, pt):
+    """A possibly per-point constant, gathered to trie-ordered runs."""
+    if isinstance(value, np.ndarray) and pt is not None:
+        return value[pt]
+    return value
+
+
+def _part(value, lo: int, hi: int):
+    """One node's rows of a per-run vector (scalars pass through)."""
+    if isinstance(value, np.ndarray):
+        return value[lo:hi]
+    return value
+
+
+class _Procs:
+    """Processor-major free times of one section's runs.
+
+    ``free`` is ``(m, ng)``; :meth:`first_idle` returns the lowest-id
+    idle processor of every run as flat indices into it (row-major, so
+    they address a same-shaped ``(m, ng)`` array too) with its free
+    time.
+    """
+
+    __slots__ = ("free", "flat", "ar", "offs", "w", "small")
+
+    def __init__(self, t_sec, m: int, ng: int, w: np.ndarray):
+        self.free = np.empty((m, ng))
+        self.free[...] = t_sec
+        self.flat = self.free.reshape(-1)
+        self.ar = np.arange(ng)
+        self.small = ng <= _SMALL_SECTION
+        if not self.small:
+            # offs[k]: row offset of processor m - k, the one whose
+            # weight is k; offs[0] is only reachable on NaN free times
+            # and clamps to a valid row
+            offs = (m - np.arange(m + 1, dtype=np.intp)) * ng
+            offs[0] = (m - 1) * ng
+            self.offs = offs
+            self.w = w
+
+    def first_idle(self):
+        free = self.free
+        if self.small:
+            flat = free.argmin(axis=0) * free.shape[1] + self.ar
+            return self.flat[flat], flat
+        mn = free.min(axis=0)
+        # weights m..1 by processor id: the max over the minimum mask
+        # names the first minimal processor, argmin's tie-break
+        k = ((free == mn) * self.w).max(axis=0)
+        return mn, self.offs.take(k) + self.ar
+
+
+def _weights(m: int) -> np.ndarray:
+    dtype = np.uint8 if m < 256 else np.intp
+    return np.arange(m, 0, -1, dtype=dtype)[:, None]
 
 
 def run_fixed_tape(prog, power: PowerModel,
@@ -113,7 +250,6 @@ def run_fixed_tape(prog, power: PowerModel,
     tape = build_tape(prog)
     n = matrix.shape[0]
     m = prog.m
-    deadline = prog.deadline
     s_max = power.s_max
 
     if isinstance(speed, np.ndarray):
@@ -133,125 +269,89 @@ def run_fixed_tape(prog, power: PowerModel,
         p_busy = power.power(speed)
     idle_power = power.idle_power
 
+    _precheck_wcet(tape, matrix, groups, point_of)
+    perm, leaves = _trie(groups)
+    pt = point_of[perm] if point_of is not None else None
+    speed_r = _per_run(speed, pt)
+    p_busy_r = _per_run(p_busy, pt)
+    # every run's state in trie order: the end time of its last
+    # section, and its busy-time / busy-energy accumulators
+    t_end = np.empty(perm.size)
+    t_end[...] = _per_run(t0, pt)
+    busy_time = np.zeros(perm.size)
+    e_busy = np.zeros(perm.size)
+    mt = matrix.T
+    w = _weights(m)
+
+    for sid, lo, hi, _children in _walk(leaves):
+        st = tape.sections[sid]
+        if not st.n_entries:
+            continue
+        t_sec = t_end[lo:hi]
+        busy = busy_time[lo:hi]
+        eb = e_busy[lo:hi]
+        if st.comp_sel.size:
+            # the section's actual times, (n_comp, ng), with the wall
+            # time division and busy-power product batched; the entry
+            # loop consumes them row by row in entry order
+            wall_all = mt[st.comp_cols[:, None], perm[lo:hi]]
+            wall_all /= _part(speed_r, lo, hi)
+            e_all = wall_all * _part(p_busy_r, lo, hi)
+        procs = _Procs(t_sec, m, hi - lo, w)
+        free = procs.flat
+        fin = np.empty((st.n_entries, hi - lo))
+        last = t_sec
+        for e, (is_and, pred, crel) in enumerate(st.steps):
+            if pred is None:
+                ready = t_sec
+            elif type(pred) is int:
+                ready = np.maximum(t_sec, fin[pred])
+            else:
+                ready = np.maximum(t_sec, fin[pred].max(axis=0))
+            if is_and:
+                fin[e] = ready
+                continue
+            mn, flat = procs.first_idle()
+            t = np.maximum(ready, last)
+            np.maximum(t, mn, out=t)
+            last = t
+            wall = wall_all[crel]
+            finish = fin[e]
+            np.add(t, wall, out=finish)
+            busy += wall
+            eb += e_all[crel]
+            free[flat] = finish
+        np.maximum(fin.max(axis=0), t_sec, out=t_sec)
+        # release the section's buffers before the walk descends
+        del procs, free, fin, last
+        if st.comp_sel.size:
+            del wall_all, e_all
+
+    dl = _per_run(prog.deadline, pt)
+    if check_deadline:
+        late = t_end > dl * (1 + 1e-9) + _EPS
+        if late.any():
+            k = int(np.argmax(late))
+            raise DeadlineMissError(float(t_end[k]), float(_at(dl, k)),
+                                    scheme=scheme)
+    ot = _per_run(overhead_time, pt)
+    window = m * np.maximum(dl, t_end)
+    idle_time = window - busy_time - ot
+    if isinstance(dl, np.ndarray):
+        thresh = -1e-6 * np.where(dl > 1.0, dl, 1.0)
+    else:
+        thresh = -1e-6 * (dl if dl > 1.0 else 1.0)
+    bad = idle_time < thresh
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SimulationError(
+            f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
+            f"overhead={_at(ot, k)}, window={window[k]}")
+    e_idle = idle_power * np.maximum(idle_time, 0.0)
     total_energy = np.empty(n)
     finish_time = np.empty(n)
-
-    for path, idx in groups:
-        block = matrix[idx]
-        ng = idx.size
-        rows = np.arange(ng)
-        pt = point_of[idx] if point_of is not None else None
-        speed_g = _gather(speed, pt)
-        p_busy_g = _gather(p_busy, pt)
-        t0_g = _gather(t0, pt)
-        dl_g = _gather(deadline, pt)
-        ot_g = _gather(overhead_time, pt)
-        eo_g = _gather(e_over, pt)
-        fin = np.empty((ng, prog.n_slots))
-        if isinstance(t0_g, np.ndarray):
-            proc_free = np.repeat(t0_g[:, None], m, axis=1)
-            last_dispatch = t0_g.copy()
-            t_section = t0_g.copy()
-            t_end = t0_g.copy()
-        else:
-            proc_free = np.full((ng, m), t0_g)
-            last_dispatch = np.full(ng, t0_g)
-            t_section = np.full(ng, t0_g)
-            t_end = np.full(ng, t0_g)
-        busy_time = np.zeros(ng)
-        e_busy = np.zeros(ng)
-
-        cols, offs, guard, g_pt = tape.path_wcet(path)
-        if cols.size:
-            # one gather and one WCET check for the whole path group;
-            # on violation the error path re-scans section by section
-            # so the raised error matches the legacy per-entry
-            # selection exactly
-            act_path = block[:, cols]
-            viol = (act_path > g_pt[:, pt].T * (1 + 1e-9)
-                    if g_pt is not None and pt is not None
-                    else act_path > guard)
-            if viol.any():
-                _raise_first_wcet(tape, path, block, pt)
-
-        for sec_i, sid in enumerate(path):
-            st = tape.sections[sid]
-            sec_max = None
-            if st.comp_sel.size:
-                # the section's slice of the path gather (a view), its
-                # wall-time division and busy-power product batched;
-                # the dispatch loop below consumes them column by
-                # column in entry order
-                act = act_path[:, offs[sec_i]:offs[sec_i + 1]]
-                wall_all = (act / speed_g[:, None]
-                            if isinstance(speed_g, np.ndarray)
-                            else act / speed_g)
-                e_all = (wall_all * p_busy_g[:, None]
-                         if isinstance(p_busy_g, np.ndarray)
-                         else wall_all * p_busy_g)
-            for is_and, gid, col, pred, crel in st.steps:
-                if pred is None:
-                    ready = t_section
-                elif type(pred) is int:
-                    ready = np.maximum(t_section, fin[:, pred])
-                else:
-                    ready = np.maximum(t_section, fin[:, pred].max(axis=1))
-                if is_and:
-                    fin[:, gid] = ready
-                    if sec_max is None:
-                        sec_max = ready.copy()
-                    else:
-                        np.maximum(sec_max, ready, out=sec_max)
-                    continue
-
-                # ndarray methods dodge the np.* python wrappers (~1us
-                # per call); identical algorithm, identical result
-                j = proc_free.argmin(axis=1)  # first-idle, lowest id
-                t = np.maximum(np.maximum(ready, last_dispatch),
-                               proc_free[rows, j])
-                last_dispatch = t
-                wall = wall_all[:, crel]
-                finish = t + wall
-                busy_time += wall
-                e_busy += e_all[:, crel]
-                proc_free[rows, j] = finish
-                fin[:, gid] = finish
-                if sec_max is None:
-                    sec_max = finish.copy()
-                else:
-                    np.maximum(sec_max, finish, out=sec_max)
-
-            if sec_max is None:
-                t_end = t_section
-            else:
-                t_end = np.maximum(sec_max, t_section)
-            t_section = t_end
-            last_dispatch = t_end
-            proc_free = np.broadcast_to(t_end[:, None], (ng, m)).copy()
-
-        if check_deadline:
-            late = t_end > dl_g * (1 + 1e-9) + _EPS
-            if late.any():
-                k = int(np.argmax(late))
-                raise DeadlineMissError(float(t_end[k]),
-                                        float(_at(dl_g, k)),
-                                        scheme=scheme)
-        window = m * np.maximum(dl_g, t_end)
-        idle_time = window - busy_time - ot_g
-        if isinstance(dl_g, np.ndarray):
-            thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-        else:
-            thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-        bad = idle_time < thresh
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SimulationError(
-                f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={_at(ot_g, k)}, window={window[k]}")
-        e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[idx] = e_busy + e_idle + eo_g
-        finish_time[idx] = t_end
-
+    total_energy[perm] = e_busy + e_idle + _per_run(e_over, pt)
+    finish_time[perm] = t_end
     return FixedBatchResult(scheme, total_energy, finish_time, n_changes,
                             list(path_keys))
 
@@ -271,7 +371,6 @@ def run_dynamic_tape(prog, power: PowerModel,
     tape = build_tape(prog)
     n = matrix.shape[0]
     m = prog.m
-    deadline = prog.deadline
     s_max = power.s_max
     s_max_guard = s_max * (1 + 1e-6)
 
@@ -279,100 +378,104 @@ def run_dynamic_tape(prog, power: PowerModel,
     n_lv = speeds_arr.size
     pow_arr = power.level_power_table()
     tc_arr = overhead.computation_time_table(power)
+    # the speed-computation energy per level: the same products the
+    # per-entry ``pow_arr[si] * tc_arr[si]`` forms
+    e_comp_arr = pow_arr * tc_arr
     adjust_time = overhead.adjust_time
     adj_energy = overhead.adjustment_energy(power)
     idle_power = power.idle_power
 
-    fc = policy_run.floor_const
     step = policy_run.floor_step
     respec = policy_run.or_respec
 
-    total_energy = np.empty(n)
-    finish_time = np.empty(n)
-    n_changes = np.empty(n, dtype=np.int64)
+    _precheck_wcet(tape, matrix, groups, point_of)
+    perm, leaves = _trie(groups)
+    pt = point_of[perm] if point_of is not None else None
+    dl = _per_run(prog.deadline, pt)
+    fc = _per_run(policy_run.floor_const, pt)
+    if step is not None:
+        f_lo, f_hi, theta = (_per_run(v, pt) for v in step)
+    # every run's state in trie order: what the OR synchronization
+    # hands a child (section end time, per-processor speed-level index,
+    # the re-speculated floor) plus the energy/time accumulators
+    nr = perm.size
+    t_end = np.zeros(nr)
+    proc_idx = np.full((m, nr), n_lv - 1,
+                       dtype=np.uint8 if n_lv <= 256 else np.intp)
+    floor = np.empty(nr) if respec is not None else None
+    busy_time = np.zeros(nr)
+    overhead_time = np.zeros(nr)
+    e_busy = np.zeros(nr)
+    e_over = np.zeros(nr)
+    changes = np.zeros(nr, dtype=np.int64)
+    mt = matrix.T
+    w = _weights(m)
+    root = True
 
-    for path, idx in groups:
-        block = matrix[idx]
-        ng = idx.size
-        rows = np.arange(ng)
-        pt = point_of[idx] if point_of is not None else None
-        fc_g = _gather(fc, pt)
-        if step is not None:
-            f_lo_g = _gather(step[0], pt)
-            f_hi_g = _gather(step[1], pt)
-            theta_g = _gather(step[2], pt)
-        dl_g = _gather(deadline, pt)
-        fin = np.empty((ng, prog.n_slots))
-        proc_free = np.zeros((ng, m))
-        proc_idx = np.full((ng, m), n_lv - 1, dtype=np.intp)
-        last_dispatch = np.zeros(ng)
-        t_section = np.zeros(ng)
-        busy_time = np.zeros(ng)
-        overhead_time = np.zeros(ng)
-        e_busy = np.zeros(ng)
-        e_over = np.zeros(ng)
-        changes = np.zeros(ng, dtype=np.int64)
-        fl_vec = None
-        t_end = np.zeros(ng)
-
-        cols, _offs, guard, g_pt = tape.path_wcet(path)
-        if cols.size:
-            # one gather and one WCET check for the whole path group
-            # (see run_fixed_tape and the module docstring)
-            act_path = block[:, cols]
-            viol = (act_path > g_pt[:, pt].T * (1 + 1e-9)
-                    if g_pt is not None and pt is not None
-                    else act_path > guard)
-            if viol.any():
-                _raise_first_wcet(tape, path, block, pt)
-
-        for pos, sid in enumerate(path):
-            st = tape.sections[sid]
-            stacked = st.c_pt is not None and pt is not None
-            c_all = st.c_pt[:, pt] if stacked else None
-            fb_all = st.fb_pt[:, pt] if stacked else None
-            sec_max = None
-            for e, (is_and, gid, col, pred, _crel) in enumerate(st.steps):
+    for sid, lo, hi, children in _walk(leaves):
+        st = tape.sections[sid]
+        t_sec = t_end[lo:hi]
+        if st.n_entries:
+            ng = hi - lo
+            rows = perm[lo:hi]
+            if st.c_pt is not None and pt is not None:
+                c_all = st.c_pt[:, pt[lo:hi]]
+                fb_all = st.fb_pt[:, pt[lo:hi]]
+            else:
+                c_all = fb_all = None
+            if st.comp_sel.size:
+                act = mt[st.comp_cols[:, None], rows]
+            if step is not None:
+                f_lo_g = _part(f_lo, lo, hi)
+                f_hi_g = _part(f_hi, lo, hi)
+                theta_g = _part(theta, lo, hi)
+            elif respec is not None and not root:
+                fl = floor[lo:hi]
+            else:
+                fl = _part(fc, lo, hi)
+            busy = busy_time[lo:hi]
+            o_time = overhead_time[lo:hi]
+            eb = e_busy[lo:hi]
+            eo = e_over[lo:hi]
+            chg = changes[lo:hi]
+            procs = _Procs(t_sec, m, ng, w)
+            free = procs.flat
+            pidx = proc_idx[:, lo:hi].copy()
+            lv = pidx.reshape(-1)
+            fin = np.empty((st.n_entries, ng))
+            last = t_sec
+            for e, (is_and, pred, crel) in enumerate(st.steps):
                 if pred is None:
-                    ready = t_section
+                    ready = t_sec
                 elif type(pred) is int:
-                    ready = np.maximum(t_section, fin[:, pred])
+                    ready = np.maximum(t_sec, fin[pred])
                 else:
-                    ready = np.maximum(t_section, fin[:, pred].max(axis=1))
+                    ready = np.maximum(t_sec, fin[pred].max(axis=0))
                 if is_and:
-                    fin[:, gid] = ready
-                    if sec_max is None:
-                        sec_max = ready.copy()
-                    else:
-                        np.maximum(sec_max, ready, out=sec_max)
+                    fin[e] = ready
                     continue
 
-                j = proc_free.argmin(axis=1)  # first-idle, lowest id
-                t = np.maximum(np.maximum(ready, last_dispatch),
-                               proc_free[rows, j])
-                last_dispatch = t
-                actual = block[:, col]
-                if stacked:
+                mn, flat = procs.first_idle()
+                t = np.maximum(ready, last)
+                np.maximum(t, mn, out=t)
+                last = t
+                if c_all is not None:
                     c_g = c_all[e]
                     fb_g = fb_all[e]
                 else:
                     # an unstacked section's constants are always
-                    # scalars (vectors force c_pt/fb_pt), so skip the
-                    # _gather call
+                    # scalars (vectors force c_pt/fb_pt)
                     c_g = st.c_list[e]
                     fb_g = st.fb_list[e]
 
-                si = proc_idx[rows, j]
+                si = lv[flat]
                 t_comp = tc_arr[si]
-                avail = fb_g - t - t_comp
-                denom = avail - adjust_time
+                denom = fb_g - t
+                denom -= t_comp
+                denom -= adjust_time
                 s_req = np.where(denom > 0, c_g / denom, math.inf)
                 if step is not None:
                     fl = np.where(t < theta_g, f_lo_g, f_hi_g)
-                elif fl_vec is not None:
-                    fl = fl_vec
-                else:
-                    fl = fc_g
                 target = np.maximum(s_req, fl)
                 viol = target > s_max_guard
                 if viol.any():
@@ -390,73 +493,73 @@ def run_dynamic_tape(prog, power: PowerModel,
                 # python wrapper
                 np.minimum(new_idx, n_lv - 1, out=new_idx)
                 speed = speeds_arr[new_idx]
-                s_cur = speeds_arr[si]
-                changed = np.abs(speed - s_cur) > _EPS
+                changed = np.abs(speed - speeds_arr[si]) > _EPS
+                lv[flat] = np.where(changed, new_idx, si)
                 t_adj = np.where(changed, adjust_time, 0.0)
-                start_exec = t + t_comp + t_adj
-                overhead_time += t_comp
-                e_over += pow_arr[si] * t_comp
-                overhead_time += t_adj
-                e_over += np.where(changed, adj_energy, 0.0)
-                changes += changed
-                proc_idx[rows, j] = np.where(changed, new_idx, si)
+                start_exec = t + t_comp
+                start_exec += t_adj
+                o_time += t_comp
+                eo += e_comp_arr[si]
+                o_time += t_adj
+                eo += np.where(changed, adj_energy, 0.0)
+                chg += changed
 
-                wall = actual / speed
-                finish = start_exec + wall
-                busy_time += wall
-                e_busy += pow_arr[new_idx] * wall
-                proc_free[rows, j] = finish
-                fin[:, gid] = finish
-                if sec_max is None:
-                    sec_max = finish.copy()
-                else:
-                    np.maximum(sec_max, finish, out=sec_max)
-
-            if sec_max is None:
-                t_end = t_section
-            else:
-                t_end = np.maximum(sec_max, t_section)
-            t_section = t_end
-            last_dispatch = t_end
-            proc_free = np.broadcast_to(t_end[:, None], (ng, m)).copy()
-            if respec is not None and pos + 1 < len(path):
-                # branch stats stay on the program (not the tape): the
-                # respec floor is per OR firing, outside the entry loop
-                sec = prog.sections[sid]
-                worst, average = sec.branch_stats[path[pos + 1]]
-                work = _gather(average if respec == "average" else worst,
-                               pt)
-                horizon = dl_g - t_end
+                wall = act[crel] / speed
+                finish = fin[e]
+                np.add(start_exec, wall, out=finish)
+                busy += wall
+                eb += pow_arr[new_idx] * wall
+                free[flat] = finish
+            np.maximum(fin.max(axis=0), t_sec, out=t_sec)
+            proc_idx[:, lo:hi] = pidx
+            # release the section's buffers before the walk descends
+            del procs, free, pidx, lv, fin, last, c_all, fb_all
+            if st.comp_sel.size:
+                del act
+        root = False
+        if respec is not None:
+            # on_or_fired per child: re-speculate the floor from the
+            # fired branch's remaining-time statistics (branch stats
+            # stay on the program, not the tape)
+            sec = prog.sections[sid]
+            for child, clo, chi, _leaves in children:
+                worst, average = sec.branch_stats[child]
+                work = average if respec == "average" else worst
+                if isinstance(work, np.ndarray):
+                    work = work[pt[clo:chi]]
+                horizon = _part(dl, clo, chi) - t_end[clo:chi]
                 raw = work / horizon
                 want = np.minimum(raw, s_max)
                 snap_idx = speeds_arr.searchsorted(want - 1e-12,
                                                    side="left")
                 np.minimum(snap_idx, n_lv - 1, out=snap_idx)
-                fl_vec = np.where(horizon > 0, speeds_arr[snap_idx], s_max)
+                floor[clo:chi] = np.where(horizon > 0,
+                                          speeds_arr[snap_idx], s_max)
 
-        if check_deadline:
-            late = t_end > dl_g * (1 + 1e-9) + _EPS
-            if late.any():
-                k = int(np.argmax(late))
-                raise DeadlineMissError(float(t_end[k]),
-                                        float(_at(dl_g, k)),
-                                        scheme=scheme)
-        window = m * np.maximum(dl_g, t_end)
-        idle_time = window - busy_time - overhead_time
-        if isinstance(dl_g, np.ndarray):
-            thresh = -1e-6 * np.where(dl_g > 1.0, dl_g, 1.0)
-        else:
-            thresh = -1e-6 * (dl_g if dl_g > 1.0 else 1.0)
-        bad = idle_time < thresh
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise SimulationError(
-                f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
-                f"overhead={overhead_time[k]}, window={window[k]}")
-        e_idle = idle_power * np.maximum(idle_time, 0.0)
-        total_energy[idx] = e_busy + e_idle + e_over
-        finish_time[idx] = t_end
-        n_changes[idx] = changes
-
+    if check_deadline:
+        late = t_end > dl * (1 + 1e-9) + _EPS
+        if late.any():
+            k = int(np.argmax(late))
+            raise DeadlineMissError(float(t_end[k]), float(_at(dl, k)),
+                                    scheme=scheme)
+    window = m * np.maximum(dl, t_end)
+    idle_time = window - busy_time - overhead_time
+    if isinstance(dl, np.ndarray):
+        thresh = -1e-6 * np.where(dl > 1.0, dl, 1.0)
+    else:
+        thresh = -1e-6 * (dl if dl > 1.0 else 1.0)
+    bad = idle_time < thresh
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SimulationError(
+            f"negative idle time {idle_time[k]}: busy={busy_time[k]}, "
+            f"overhead={overhead_time[k]}, window={window[k]}")
+    e_idle = idle_power * np.maximum(idle_time, 0.0)
+    total_energy = np.empty(n)
+    finish_time = np.empty(n)
+    n_changes = np.empty(n, dtype=np.int64)
+    total_energy[perm] = e_busy + e_idle + e_over
+    finish_time[perm] = t_end
+    n_changes[perm] = changes
     return DynamicBatchResult(scheme, total_energy, finish_time, n_changes,
                               list(path_keys))

@@ -18,7 +18,7 @@ section —
 
 plus, for stacked programs whose constants vary per sweep point,
 ``c_pt``/``fb_pt`` matrices of shape ``(n_entries, n_points)`` with
-scalar rows broadcast — one fancy-index per section per path group then
+scalar rows broadcast — one fancy-index per executed section then
 gathers *every* entry's per-run constants at once.  Broadcasting a
 scalar to a vector changes no float: the kernels perform the same
 elementwise operations on the same values, so tape execution stays
@@ -30,9 +30,11 @@ violations, guarantee violations); the hot loop never touches a string.
 The tape is built lazily and cached on the program instance
 (``prog._tape``), so it compiles once per program per process and
 travels with the program through the pool initializer.  ``steps`` is a
-derived iteration structure for the pure-NumPy interpreter (pre-split
-predecessor rows: ``None`` / single ``int`` / index array); the
-canonical arrays above are what the JIT tier consumes.
+derived iteration structure for the pure-NumPy interpreter: per entry,
+its predecessors as *entry indices within the section* (``None`` /
+single ``int`` / index array — the interpreter's finish buffer is sized
+per section) and its computation ordinal; the canonical arrays above
+are what the JIT tier consumes.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class SectionTape:
         c_lane = np.empty(n, dtype=np.float64)
         fb_lane = np.empty(n, dtype=np.float64)
         pred_off = np.zeros(n + 1, dtype=np.int32)
+        # intra-section predecessors come earlier in dispatch order, so
+        # every pred slot is already in here when its successor reads it
+        entry_of = {}
         pred_flat = []
         steps = []
         names = []
@@ -89,14 +94,16 @@ class SectionTape:
             gid[e] = g
             col[e] = cl
             names.append(name)
+            entry_of[g] = e
             pred_flat.extend(preds)
             pred_off[e + 1] = len(pred_flat)
             if not preds:
                 pred = None
             elif len(preds) == 1:
-                pred = int(preds[0])
+                pred = entry_of[preds[0]]
             else:
-                pred = np.asarray(preds, dtype=np.intp)
+                pred = np.asarray([entry_of[p] for p in preds],
+                                  dtype=np.intp)
             # crel: this entry's ordinal among the section's computation
             # entries — its column in the interpreter's per-section
             # precomputed matrices (-1 for AND nodes, never used)
@@ -104,7 +111,7 @@ class SectionTape:
             if not is_and:
                 crel = n_comp
                 n_comp += 1
-            steps.append((bool(is_and), int(g), int(cl), pred, crel))
+            steps.append((bool(is_and), pred, crel))
             c_cols.append(c)
             fb_cols.append(fb)
             c_vec = isinstance(c, np.ndarray)
@@ -146,7 +153,7 @@ class SectionTape:
 class ProgramTape:
     """The tape of every section of one program, plus per-path caches."""
 
-    __slots__ = ("sections", "n_points", "path_cache", "_wcet_cache")
+    __slots__ = ("sections", "n_points", "path_cache", "col_guard")
 
     def __init__(self, sections: Dict[int, SectionTape], n_points: int):
         self.sections = sections
@@ -154,50 +161,22 @@ class ProgramTape:
         #: flattened (concatenated-section) views per executed path,
         #: built on demand by the JIT driver
         self.path_cache: Dict[Tuple[int, ...], tuple] = {}
-        self._wcet_cache: Dict[Tuple[int, ...], tuple] = {}
-
-    def path_wcet(self, path: Tuple[int, ...]) -> tuple:
-        """Cached per-path WCET-check arrays ``(cols, offs, guard,
-        g_pt)``: the realization columns of every computation entry on
-        the path (section by section, path order), per-section offsets
-        into that concatenation (section ``i``'s entries sit at
-        ``cols[offs[i]:offs[i+1]]``), and the guard — the precomputed
-        ``c * (1 + 1e-9)`` row for programs with scalar constants
-        (``g_pt`` is then ``None``), or a per-point ``(n_comp,
-        n_points)`` WCET matrix for stacked programs (``guard`` is then
-        ``None``; scalar-collapsed sections are broadcast into it, the
-        same floats either way)."""
-        hit = self._wcet_cache.get(path)
-        if hit is not None:
-            return hit
-        col_parts = []
-        offs = [0]
-        for sid in path:
-            st = self.sections[sid]
-            col_parts.append(st.comp_cols)
-            offs.append(offs[-1] + st.comp_cols.size)
-        cols = (np.concatenate(col_parts) if col_parts
-                else np.empty(0, dtype=np.intp))
-        offs_arr = np.asarray(offs, dtype=np.intp)
-        guard = None
-        g_pt = None
-        if self.n_points:
-            rows = [self.sections[sid].c_pt[self.sections[sid].comp_sel]
-                    if self.sections[sid].c_pt is not None
-                    else np.broadcast_to(
-                        self.sections[sid].c[
-                            self.sections[sid].comp_sel][:, None],
-                        (self.sections[sid].comp_sel.size, self.n_points))
-                    for sid in path]
-            g_pt = (np.concatenate(rows) if rows
-                    else np.empty((0, self.n_points)))
-        else:
-            guard = (np.concatenate([self.sections[sid].c_guard
-                                     for sid in path]) if path
-                     else np.empty(0))
-        entry = (cols, offs_arr, guard, g_pt)
-        self._wcet_cache[path] = entry
-        return entry
+        #: per realization column, the smallest WCET guard
+        #: ``c * (1 + 1e-9)`` any point applies to it (``inf`` for a
+        #: column no section reads): an actual at or below it passes
+        #: every point's check, so one column-max comparison clears a
+        #: whole batch before the exact per-path WCET check is needed
+        n_cols = 1 + max((int(st.comp_cols.max())
+                          for st in sections.values()
+                          if st.comp_cols.size), default=-1)
+        guard = np.full(n_cols, np.inf)
+        for st in sections.values():
+            if st.c_pt is not None:
+                guard[st.comp_cols] = (st.c_pt[st.comp_sel]
+                                       * (1 + 1e-9)).min(axis=1)
+            else:
+                guard[st.comp_cols] = st.c_guard
+        self.col_guard = guard
 
 
 def build_tape(prog) -> ProgramTape:

@@ -180,7 +180,7 @@ class StackedProgram:
                 branch_stats)
 
     # path grouping only reads section topology (exit_or / forced_target
-    # / branch_set), which stacking preserves verbatim — borrow the
+    # / branch_ids), which stacking preserves verbatim — borrow the
     # plan implementations unchanged
     executed_paths = CompiledPlan.executed_paths
     realization_matrix = CompiledPlan.realization_matrix
