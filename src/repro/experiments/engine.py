@@ -342,7 +342,7 @@ def share_batch(batch) -> Optional[SharedBatch]:
 
 
 # ---------------------------------------------------------------------------
-# shard result transport (worker-published segments)
+# shard result transport (parent-owned segments)
 # ---------------------------------------------------------------------------
 
 #: shard result matrices at least this large travel back from local
@@ -353,41 +353,65 @@ SHARD_SHM_MIN_BYTES = 1 << 20
 
 
 class ShardBlock:
-    """Picklable descriptor of one shard's packed result matrix.
+    """A parent-owned shared-memory segment for one shard's result matrix.
 
-    The inverse direction of :class:`ShmChunk`: the *worker* creates
-    the segment and ships ``(name, shape, dtype)``; the parent attaches
-    exactly once, copies the matrix out, and closes **and unlinks** the
-    segment (:meth:`take`).  A block whose result the resilient
-    executor discards (a straggler beaten by its own re-dispatch) can
-    leak its segment until process teardown — acceptable because blocks
-    only exist above :data:`SHARD_SHM_MIN_BYTES` and stragglers are
-    rare; the pickled fallback has no such window.
+    The same ownership rule as :class:`SharedBatch`: exactly one side,
+    the parent, owns every segment.  :meth:`allocate` creates it before
+    dispatch (registered with the parent's resource tracker, so even a
+    crashed parent leaves nothing in ``/dev/shm``); the descriptor
+    travels inside the shard task; the worker attaches untracked and
+    writes the packed matrix (:meth:`publish`); the parent copies it out
+    and unlinks the segment (:meth:`take`).  Blocks whose result never
+    arrives — a straggler beaten by its own re-dispatch — are unlinked
+    by :meth:`release` when the sweep is reduced, and a worker still
+    writing to an unlinked segment keeps a private mapping until it
+    detaches.
     """
 
-    __slots__ = ("name", "shape", "dtype")
+    __slots__ = ("name", "shape", "dtype", "_seg")
 
-    def __init__(self, name: str, shape: Tuple[int, int], dtype: str):
+    def __init__(self, name: str, shape: Tuple[int, int], dtype: str,
+                 seg=None):
         self.name = name
         self.shape = shape
         self.dtype = dtype
+        self._seg = seg  # the owning mapping; parent side only
 
     def __getstate__(self):
         return (self.name, self.shape, self.dtype)
 
     def __setstate__(self, state):
         self.name, self.shape, self.dtype = state
+        self._seg = None
 
-    def take(self) -> np.ndarray:
-        """Copy the matrix out and release the segment (parent, once).
+    @classmethod
+    def allocate(cls, shape: Tuple[int, int],
+                 dtype: str = "<f8") -> Optional["ShardBlock"]:
+        """A fresh parent-owned block, or ``None`` (ship pickled instead).
 
-        Attach problems surface as :class:`~repro.errors.TransportError`
-        — the caller recomputes that shard inline rather than failing
-        the sweep.
+        ``None`` when the platform has no shared memory, the shape is
+        empty, or segment creation fails (e.g. ``/dev/shm`` exhausted).
         """
-        if not _SHM_AVAILABLE:  # pragma: no cover - publisher had shm
+        nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        if not _SHM_AVAILABLE or nbytes == 0:
+            return None
+        try:
+            seg = _shared_memory.SharedMemory(create=True, size=nbytes)
+        except OSError:  # pragma: no cover - depends on host state
+            return None
+        return cls(seg.name, tuple(shape), dtype, seg)
+
+    def publish(self, matrix: np.ndarray) -> None:
+        """Write ``matrix`` into the block (worker side).
+
+        Raises :class:`~repro.errors.TransportError` when the segment is
+        gone (already released) or the shape disagrees; the worker then
+        ships the matrix pickled — same values either way.
+        """
+        if matrix.shape != self.shape or matrix.dtype.str != self.dtype:
             raise TransportError(
-                f"no shared memory to attach shard block {self.name!r}")
+                f"shard result {matrix.shape}/{matrix.dtype.str} does not "
+                f"fit block {self.name!r} {self.shape}/{self.dtype}")
         try:
             seg = _open_segment(self.name)
         except (OSError, ValueError) as exc:
@@ -395,50 +419,33 @@ class ShardBlock:
                 f"could not attach shard result block {self.name!r}: "
                 f"{exc!r}") from exc
         try:
-            view = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
-                              buffer=seg.buf)
-            return np.array(view, copy=True)
+            np.ndarray(self.shape, dtype=np.dtype(self.dtype),
+                       buffer=seg.buf)[:] = matrix
         finally:
-            try:
-                seg.close()
-                seg.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
+            seg.close()
 
+    def take(self) -> np.ndarray:
+        """Copy the published matrix out and release the block (parent).
 
-def _create_segment(size: int):
-    """Create a fresh segment without registering ownership here.
+        Raises :class:`~repro.errors.TransportError` once released.
+        """
+        if self._seg is None:
+            raise TransportError(
+                f"shard result block {self.name!r} is not owned here "
+                "(already taken or released)")
+        view = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
+                          buffer=self._seg.buf)
+        out = np.array(view, copy=True)
+        del view  # the mapping cannot close while a view exports it
+        self.release()
+        return out
 
-    The attaching *parent* unlinks shard-block segments, so the
-    creating worker must not leave a tracker registration behind
-    (Python >= 3.13 tracks per-instance; earlier interpreters share one
-    forked tracker whose registration the parent's unlink clears)."""
-    try:
-        return _shared_memory.SharedMemory(create=True, size=size,
-                                           track=False)
-    except TypeError:  # pre-3.13: tracker shared across fork
-        return _shared_memory.SharedMemory(create=True, size=size)
-
-
-def publish_shard_block(matrix: np.ndarray) -> Optional[ShardBlock]:
-    """Publish a packed shard result in shared memory, or ``None``.
-
-    ``None`` means "ship the matrix pickled instead": the platform has
-    no shared memory, the matrix is empty, or segment creation failed
-    (e.g. ``/dev/shm`` exhausted).  Values are identical either way.
-    """
-    if not _SHM_AVAILABLE or matrix.nbytes == 0:
-        return None
-    m = np.ascontiguousarray(matrix)
-    try:
-        seg = _create_segment(m.nbytes)
-    except OSError:  # pragma: no cover - depends on host state
-        return None
-    view = np.ndarray(m.shape, dtype=m.dtype, buffer=seg.buf)
-    view[:] = m
-    block = ShardBlock(seg.name, m.shape, m.dtype.str)
-    seg.close()  # drop this mapping; the segment lives until take()
-    return block
+    def release(self) -> None:
+        """Close and unlink the segment (parent; idempotent)."""
+        seg, self._seg = self._seg, None
+        if seg is not None:
+            seg.close()
+            seg.unlink()
 
 
 # ---------------------------------------------------------------------------

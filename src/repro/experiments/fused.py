@@ -62,8 +62,8 @@ from ..sim.realization import sample_realization_batch
 from ..sim.sweepc import (StackedProgram, _stack_values, fused_bytes_estimate,
                           plan_shards, programs_compatible, stack_programs)
 from . import faults
-from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext, default_executors,
-                     effective_cores, publish_shard_block)
+from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext, ShardBlock,
+                     default_executors, effective_cores)
 from .runner import EvaluationResult, RunConfig, build_plans
 
 #: session default consulted when ``RunConfig.shards`` is None, seeded
@@ -149,10 +149,15 @@ class _View:
 class _FusedBuild:
     """The structural half of a fused sweep: plans, programs, stacks.
 
-    Built once in the parent (and rebuilt deterministically inside each
-    shard worker, where the per-process plan/program/stacked caches make
-    it nearly free); holds everything that does not depend on sampled
+    Built once in the parent and rebuilt deterministically inside each
+    shard worker; holds everything that does not depend on sampled
     runs, so the sampling/execution half can be invoked per run-range.
+    The worker's rebuild is not free: its unpickled graph is a fresh
+    instance (one fingerprint), and every point still gets its own
+    shifted plans and a compatibility check against the stack, even
+    when the per-process stage/program/stacked caches all hit — about
+    3 ms per shard for the 10-point Figure 5 ATR sweep (m=6) on a
+    2-vCPU x86-64 host with Python 3.11.
     """
 
     __slots__ = ("base", "power", "overhead", "scheme_names", "tier",
@@ -469,9 +474,9 @@ class ShardTask:
     """One run-range of a fused sweep, shipped to a worker whole.
 
     Picklable and self-contained: carries the applications and configs
-    so the worker rebuilds the stacked program deterministically (the
-    per-process plan/program caches make the rebuild nearly free) and
-    samples its rows seed-aligned.  Travels in place of an ``app``
+    so the worker rebuilds the stacked program deterministically (a
+    per-shard cost, see :class:`_FusedBuild`) and samples its rows
+    seed-aligned.  Travels in place of an ``app``
     through both execution backends —
     :func:`~repro.experiments.parallel._evaluate_app_point` detects it
     on pool workers and dispatch executors alike — so shards inherit
@@ -480,18 +485,20 @@ class ShardTask:
     """
 
     __slots__ = ("index", "n_shards", "lo", "hi", "apps", "configs",
-                 "allow_shm")
+                 "block")
 
     def __init__(self, index: int, n_shards: int, lo: int, hi: int,
                  apps: Tuple[Application, ...],
-                 configs: Tuple[RunConfig, ...], allow_shm: bool):
+                 configs: Tuple[RunConfig, ...],
+                 block: Optional[ShardBlock] = None):
         self.index = index
         self.n_shards = n_shards
         self.lo = lo
         self.hi = hi
         self.apps = apps
         self.configs = configs
-        self.allow_shm = allow_shm
+        #: the parent's shared-memory block for the result, if any
+        self.block = block
 
     @property
     def name(self) -> str:
@@ -512,17 +519,16 @@ class ShardResult:
     The matrix stacks, over the shard's point-major row axis,
     ``[npm, absolute per scheme..., speed changes per scheme...]``; the
     path keys ride as an ordinary pickled list (shared key strings
-    memoize well).  ``block`` is an
-    :class:`~repro.experiments.engine.ShardBlock` descriptor when the
-    worker published the matrix through shared memory (local pool only;
-    dispatch executors may live on other hosts).
+    memoize well).  ``matrix`` is ``None`` when the worker wrote it into
+    the task's parent-owned :class:`~repro.experiments.engine.ShardBlock`
+    instead (local pool only; dispatch executors may live on other
+    hosts).
     """
 
-    __slots__ = ("matrix", "block", "path_keys", "schemes", "n_points")
+    __slots__ = ("matrix", "path_keys", "schemes", "n_points")
 
-    def __init__(self, matrix, block, path_keys, schemes, n_points):
+    def __init__(self, matrix, path_keys, schemes, n_points):
         self.matrix = matrix
-        self.block = block
         self.path_keys = path_keys
         self.schemes = schemes
         self.n_points = n_points
@@ -535,11 +541,21 @@ class ShardResult:
             setattr(self, s, v)
 
 
-def _pack_shard(scheme_names, npm, absolute, changes) -> np.ndarray:
-    rows = [np.asarray(npm, dtype=float)]
-    rows += [np.asarray(absolute[n], dtype=float) for n in scheme_names]
-    rows += [np.asarray(changes[n], dtype=float) for n in scheme_names]
-    return np.vstack(rows)
+def _shard_shape(n_schemes: int, n_points: int, lo: int,
+                 hi: int) -> Tuple[int, int]:
+    """Shape of the packed result matrix of shard ``runs[lo:hi)``."""
+    return (1 + 2 * n_schemes, n_points * (hi - lo))
+
+
+def _pack_shard(scheme_names, n_points, lo, hi, npm, absolute,
+                changes) -> np.ndarray:
+    n_schemes = len(scheme_names)
+    matrix = np.empty(_shard_shape(n_schemes, n_points, lo, hi))
+    matrix[0] = npm
+    for j, name in enumerate(scheme_names):
+        matrix[1 + j] = absolute[name]
+        matrix[1 + n_schemes + j] = changes[name]
+    return matrix
 
 
 def run_shard(task: ShardTask) -> ShardResult:
@@ -561,13 +577,17 @@ def run_shard(task: ShardTask) -> ShardResult:
             task.name,
             RuntimeError("shard punted to per-point evaluation"))
     _offsets, npm, absolute, changes, path_keys = out
-    matrix = _pack_shard(build.scheme_names, npm, absolute, changes)
-    if task.allow_shm and matrix.nbytes >= SHARD_SHM_MIN_BYTES:
-        block = publish_shard_block(matrix)
-        if block is not None:
-            return ShardResult(None, block, list(path_keys),
+    matrix = _pack_shard(build.scheme_names, len(task.apps), task.lo,
+                         task.hi, npm, absolute, changes)
+    if task.block is not None:
+        try:
+            task.block.publish(matrix)
+        except TransportError:
+            pass  # released or mismatched: ship the matrix pickled
+        else:
+            return ShardResult(None, list(path_keys),
                                build.scheme_names, len(task.apps))
-    return ShardResult(matrix, None, list(path_keys),
+    return ShardResult(matrix, list(path_keys),
                        build.scheme_names, len(task.apps))
 
 
@@ -654,7 +674,7 @@ def _resolve_shard_count(build: _FusedBuild, configs: Sequence[RunConfig],
 def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
                  configs: Sequence[RunConfig], ranges,
                  context: Optional[ExecutionContext]):
-    """Fan shards out over a backend; ``(shard results, transport)``.
+    """Fan shards out and reduce them; ``(fused output, transport)``.
 
     Routes through the provided context when it can host the fan-out
     (a dispatch fleet, or a local pool of two or more workers);
@@ -662,6 +682,9 @@ def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
     schedulable cores.  Returns ``None`` when no backend is usable
     (e.g. an unreachable dispatch fleet on a one-job context) — the
     caller then runs the monolithic pass, which is always correct.
+    On a local pool, results of at least :data:`SHARD_SHM_MIN_BYTES`
+    travel through shared-memory blocks this call allocates and always
+    releases, taken or not.
     """
     base = build.base
     policy = base.retry_policy()
@@ -678,11 +701,10 @@ def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
                        else default_executors()),
             connect=base.connect)
         owned = True
+    blocks: List[Optional[ShardBlock]] = [None] * len(ranges)
     try:
-        allow_shm = (ctx.backend != "dispatch"
-                     and getattr(ctx, "shared_memory", True))
         tasks = [ShardTask(s, len(ranges), lo, hi, tuple(apps),
-                           tuple(configs), allow_shm)
+                           tuple(configs))
                  for s, (lo, hi) in enumerate(ranges)]
         labels = [f"{t.name} x {n_points} point(s)" for t in tasks]
         if ctx.backend == "dispatch" \
@@ -691,30 +713,50 @@ def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
             results = dispatch_points(
                 ctx, tasks, [base.with_(n_jobs=1)] * len(tasks),
                 labels=labels, policy=policy)
-            if results is not None:
-                return results, "dispatch"
-            return None  # fleet unreachable: monolithic fallback
-        if ctx.backend == "dispatch":
+            if results is None:
+                return None  # fleet unreachable: monolithic fallback
+            transport = "dispatch"
+        elif ctx.backend == "dispatch":
             return None  # a one-executor fleet is never engaged
-        if ctx.jobs(n_items=len(tasks)) < 2:
+        elif ctx.jobs(n_items=len(tasks)) < 2:
             return None
-        results = ctx.map(run_shard, [(t,) for t in tasks],
-                          labels=labels, policy=policy)
-        return results, "pool"
+        else:
+            if getattr(ctx, "shared_memory", True):
+                n_schemes = len(build.scheme_names)
+                for task in tasks:
+                    shape = _shard_shape(n_schemes, n_points, task.lo,
+                                         task.hi)
+                    if shape[0] * shape[1] * 8 >= SHARD_SHM_MIN_BYTES:
+                        task.block = blocks[task.index] = \
+                            ShardBlock.allocate(shape)
+            results = ctx.map(run_shard, [(t,) for t in tasks],
+                              labels=labels, policy=policy)
+            transport = "pool"
+        # count fallbacks where the sweep reads them: the caller's context
+        counters = context if context is not None else ctx
+        return (_reduce_shards(build, configs, ranges, results, blocks,
+                               counters),
+                transport)
     finally:
+        for block in blocks:
+            if block is not None:
+                block.release()
         if owned:
             ctx.close()
 
 
 def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
-                   ranges, shard_results, context):
+                   ranges, shard_results, blocks,
+                   ctx: ExecutionContext):
     """Merge shard blocks into full sweep arrays, in shard-index order.
 
     The reduction is pure placement — each shard's rows are copied into
     their monolithic positions (concat, never summation), so float
-    accumulation order is fixed by construction.  A shard whose shm
-    block cannot be attached is recomputed inline in the parent (warned
-    and counted as an shm fallback): slower, still bit-identical.
+    accumulation order is fixed by construction.  A shard that returned
+    no result is recomputed inline in the parent: slower, still
+    bit-identical.  A shard that had a block but shipped its matrix
+    pickled (the worker could not write the segment) counts in
+    ``ctx.resilience["shm_fallbacks"]``.
     """
     scheme_names = build.scheme_names
     n_points = len(configs)
@@ -725,24 +767,18 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
     absolute = {n: np.empty(total) for n in scheme_names}
     changes = {n: np.empty(total) for n in scheme_names}
     path_keys: List = [None] * total
-    for (lo, hi), res in zip(ranges, shard_results):
+    for (lo, hi), res, block in zip(ranges, shard_results, blocks):
         span = hi - lo
         matrix = None
         keys = None
         if res is not None:
             keys = res.path_keys
-            if res.matrix is not None:
-                matrix = res.matrix
+            if res.matrix is None:
+                matrix = block.take()
             else:
-                try:
-                    matrix = res.block.take()
-                except TransportError as exc:
-                    if context is not None:
-                        context.resilience["shm_fallbacks"] += 1
-                    warnings.warn(
-                        f"could not attach shard result block for "
-                        f"runs[{lo}:{hi}) ({exc}); recomputing the shard "
-                        "in the parent", RuntimeWarning, stacklevel=3)
+                matrix = res.matrix
+                if block is not None:
+                    ctx.resilience["shm_fallbacks"] += 1
         if matrix is None:
             out = _compute_fused(build, configs, run_range=(lo, hi))
             if out is None:  # pragma: no cover - parent pre-checked
@@ -750,8 +786,9 @@ def _reduce_shards(build: _FusedBuild, configs: Sequence[RunConfig],
                     f"shard runs[{lo}:{hi})",
                     RuntimeError("shard recompute punted"))
             _off, s_npm, s_abs, s_chg, keys = out
-            matrix = _pack_shard(scheme_names, s_npm, s_abs, s_chg)
-        expected = (1 + 2 * n_schemes, n_points * span)
+            matrix = _pack_shard(scheme_names, n_points, lo, hi, s_npm,
+                                 s_abs, s_chg)
+        expected = _shard_shape(n_schemes, n_points, lo, hi)
         if matrix.shape != expected:
             raise ParallelError(
                 f"shard runs[{lo}:{hi})",
@@ -820,9 +857,7 @@ def evaluate_points_fused(apps: Sequence[Application],
         if len(ranges) > 1:
             fanned = _run_sharded(build, apps, configs, ranges, context)
             if fanned is not None:
-                shard_results, transport = fanned
-                out = _reduce_shards(build, configs, ranges,
-                                     shard_results, context)
+                out, transport = fanned
                 shard_runs = [hi - lo for lo, hi in ranges]
     if out is None:
         transport = "inline"

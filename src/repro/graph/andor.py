@@ -13,16 +13,25 @@ the offline phase and the simulator operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Tuple, TypeVar)
 
 from ..errors import GraphError
 from .nodes import Node, NodeKind, and_node, computation, or_node
 
 _PROB_TOL = 1e-6
 
+T = TypeVar("T")
+
 
 class AndOrGraph:
-    """A directed acyclic AND/OR task graph."""
+    """A directed acyclic AND/OR task graph.
+
+    Every mutator (:meth:`add_node`, :meth:`add_edge`,
+    :meth:`set_branch_probability`) bumps :attr:`version`, so values
+    derived from the graph's content can be memoized on the instance
+    with :meth:`derived` and go stale exactly when the graph changes.
+    """
 
     def __init__(self, name: str = "app"):
         self.name = name
@@ -30,6 +39,9 @@ class AndOrGraph:
         self._succs: Dict[str, List[str]] = {}
         self._preds: Dict[str, List[str]] = {}
         self._branch_probs: Dict[str, Dict[str, float]] = {}
+        self._version = 0
+        #: tag -> ((name, version) it was computed at, value)
+        self._derived: Dict[str, Tuple[Tuple[str, int], Any]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -40,6 +52,7 @@ class AndOrGraph:
         self._nodes[node.name] = node
         self._succs[node.name] = []
         self._preds[node.name] = []
+        self._version += 1
         return node
 
     def add_computation(self, name: str, wcet: float, acet: float) -> Node:
@@ -62,6 +75,7 @@ class AndOrGraph:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
         self._succs[src].append(dst)
         self._preds[dst].append(src)
+        self._version += 1
 
     def set_branch_probability(self, or_name: str, succ: str,
                                probability: float) -> None:
@@ -78,6 +92,39 @@ class AndOrGraph:
             raise GraphError(
                 f"branch probability must be in (0, 1], got {probability}")
         self._branch_probs.setdefault(or_name, {})[succ] = min(probability, 1.0)
+        self._version += 1
+
+    # ------------------------------------------------------------------
+    # content-derived memos
+    # ------------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every structural or timing change."""
+        return self._version
+
+    def derived(self, tag: str, compute: Callable[["AndOrGraph"], T]) -> T:
+        """``compute(self)``, memoized on this instance under ``tag``.
+
+        The memo is keyed on ``(name, version)``: any mutation or a
+        rename recomputes it.  A ``compute`` that raises memoizes
+        nothing.  Memos are per instance — :meth:`copy` and unpickling
+        start empty — and must hold only values derived from the graph
+        itself that hold no reference back to it (no plans, programs or
+        structures), so a dropped graph is still freed by reference
+        counting.
+        """
+        key = (self.name, self._version)
+        hit = self._derived.get(tag)
+        if hit is not None and hit[0] == key:
+            return hit[1]
+        value = compute(self)
+        self._derived[tag] = (key, value)
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_derived"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # accessors

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import InfeasibleError, ValidationError
 from ..graph.andor import AndOrGraph, Application
 from ..graph.sections import SectionStructure
-from ..graph.validate import validate_application
+from ..graph.validate import validate_graph
 from ..types import PathStats, ScheduledTask
 from .canonical import CanonicalSchedule, acet_duration, list_schedule, wcet_duration
 
@@ -51,8 +51,9 @@ class SectionPlan:
     finish_bound: Dict[str, float] = field(default_factory=dict)
     #: dispatch order (computation + AND nodes)
     dispatch_order: List[str] = field(default_factory=list)
-    #: per node: predecessors within the section
-    preds_within: Dict[str, List[str]] = field(default_factory=dict)
+    #: per node: predecessors within the section (immutable tuples, so
+    #: plans built from one canonical stage copy only the dict)
+    preds_within: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def worst_from_here(self) -> float:
@@ -122,20 +123,26 @@ class OfflinePlan:
 
 @dataclass
 class _CanonicalStage:
-    """The deadline-independent output of round 1 for one cache key.
+    """The deadline-independent part of the offline phase for one key.
 
     Canonical list schedules depend only on the graph, the processor
-    count, the reserve and the heuristic — not on the deadline — so a
-    load sweep that revisits the same graph at many deadlines can reuse
-    them.  Everything mutable in :class:`SectionPlan` (shift, LSTs,
-    remaining-time fields) is recomputed per :func:`build_plan` call
-    from this read-only snapshot.
+    count, the reserve and the heuristic — not on the deadline — and so
+    does everything derived from them: each section's worst/average
+    remaining time after its exit OR, the per-branch ``(w_i, a_i)``
+    statistics and the application's ``T_worst``/``T_avg``.  Only
+    round 2's shift (``D − worst_from_here``) sees the deadline, so a
+    load sweep that revisits one graph at many deadlines reuses this
+    read-only snapshot and :func:`build_plan` copies it and shifts.
     """
 
     structure: SectionStructure
-    #: sid -> (wc schedule, length_wc, length_ac, dispatch_order, preds)
-    sections: Dict[int, Tuple[CanonicalSchedule, float, float,
-                              List[str], Dict[str, List[str]]]]
+    #: sid -> unshifted section plan (``shift``/``lst``/``finish_bound``
+    #: unset); never handed out, only copied
+    sections: Dict[int, SectionPlan]
+    #: per OR node, per successor section id: remaining-time statistics
+    branch_stats: Dict[str, Dict[int, PathStats]]
+    t_worst: float
+    t_avg: float
 
 
 #: canonical-stage cache: (graph fingerprint, m, reserve, heuristic) ->
@@ -154,8 +161,14 @@ def graph_fingerprint(graph: AndOrGraph) -> str:
     Two structurally identical graphs fingerprint identically regardless
     of object identity; any change to a node's timing, an edge, or a
     branch probability changes the digest.  Used as the graph component
-    of the offline-plan cache key.
+    of the offline-plan, program and evaluation cache keys, and
+    memoized on the graph instance until it changes
+    (:meth:`AndOrGraph.derived`).
     """
+    return graph.derived("fingerprint", _content_digest)
+
+
+def _content_digest(graph: AndOrGraph) -> str:
     from ..graph.serialize import graph_to_dict
     payload = json.dumps(graph_to_dict(graph), sort_keys=True)
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
@@ -175,12 +188,15 @@ def plan_cache_stats() -> Dict[str, int]:
             "size": len(_PLAN_CACHE)}
 
 
-def _canonical_stage(app: Application, n_processors: int, reserve: float,
-                     structure: Optional[SectionStructure],
-                     heuristic: str, use_cache: bool) -> _CanonicalStage:
-    """Round 1, memoized on ``(graph, m, reserve, heuristic)``."""
+def _canonical_stage(graph: AndOrGraph, n_processors: int,
+                     reserve: float = 0.0, heuristic: str = "ltf",
+                     structure: Optional[SectionStructure] = None,
+                     use_cache: bool = True) -> _CanonicalStage:
+    """Round 1 plus the remaining-time pass, memoized on
+    ``(graph, m, reserve, heuristic)``; ``use_cache=False`` bypasses the
+    memo (and does not populate it)."""
     global _plan_cache_hits, _plan_cache_misses
-    key = (graph_fingerprint(app.graph), n_processors, float(reserve),
+    key = (graph_fingerprint(graph), n_processors, float(reserve),
            heuristic)
     if use_cache:
         stage = _PLAN_CACHE.get(key)
@@ -193,10 +209,9 @@ def _canonical_stage(app: Application, n_processors: int, reserve: float,
     from .heuristics import get_heuristic
     heuristic_fn = get_heuristic(heuristic)
     if structure is None:
-        structure = validate_application(app)
+        structure = validate_graph(graph)
 
-    sections: Dict[int, Tuple[CanonicalSchedule, float, float,
-                              List[str], Dict[str, List[str]]]] = {}
+    sections: Dict[int, SectionPlan] = {}
     for section in structure.sections:
         sub = structure.subgraph(section.id)
         priority = heuristic_fn(sub)
@@ -205,19 +220,37 @@ def _canonical_stage(app: Application, n_processors: int, reserve: float,
                            priority=priority)
         ac = list_schedule(sub, n_processors, duration=acet_duration(sub),
                            priority=priority)
-        preds_within = {
-            name: [p for p in sub.predecessors(name)]
-            for name in sub.node_names
-        }
-        sections[section.id] = (wc, wc.length, ac.length,
-                                list(wc.dispatch_order), preds_within)
+        sections[section.id] = SectionPlan(
+            sid=section.id, schedule=wc, length_wc=wc.length,
+            length_ac=ac.length, dispatch_order=list(wc.dispatch_order),
+            preds_within={name: tuple(sub.predecessors(name))
+                          for name in sub.node_names})
 
-    stage = _CanonicalStage(structure=structure, sections=sections)
+    branch_stats: Dict[str, Dict[int, PathStats]] = {}
+    _fill_remaining(structure, sections, branch_stats, structure.root_id)
+    root = sections[structure.root_id]
+    stage = _CanonicalStage(structure=structure, sections=sections,
+                            branch_stats=branch_stats,
+                            t_worst=root.worst_from_here,
+                            t_avg=root.avg_from_here)
     if use_cache:
         _PLAN_CACHE[key] = stage
         while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
             _PLAN_CACHE.popitem(last=False)
     return stage
+
+
+def canonical_lengths(graph: AndOrGraph, n_processors: int,
+                      reserve: float = 0.0,
+                      heuristic: str = "ltf") -> Tuple[float, float]:
+    """``(T_worst, T_avg)`` of the canonical schedules, no plan built.
+
+    Reads the memoized canonical stage that :func:`build_plan` shares,
+    so probing a graph's length before choosing its deadline costs a
+    lookup once the stage exists.
+    """
+    stage = _canonical_stage(graph, n_processors, reserve, heuristic)
+    return stage.t_worst, stage.t_avg
 
 
 def build_plan(app: Application, n_processors: int,
@@ -234,48 +267,38 @@ def build_plan(app: Application, n_processors: int,
     deadline (set ``require_feasible=False`` to obtain the plan anyway,
     e.g. to measure by how much a deadline must be extended).
 
-    The expensive round-1 canonical schedules are memoized on
-    ``(graph fingerprint, n_processors, reserve, heuristic)`` — they do
-    not depend on the deadline, so load sweeps over one graph rebuild
-    only the cheap shifting round.  ``use_cache=False`` bypasses the
-    memo (and does not populate it).
+    Everything but the shift — canonical schedules and remaining-time
+    statistics — is memoized on ``(graph fingerprint, n_processors,
+    reserve, heuristic)``, so load sweeps over one graph only copy that
+    stage and shift it to each deadline.  ``use_cache=False`` bypasses
+    the memo (and does not populate it).
     """
-    if app.deadline <= 0:  # validate_application may be skipped on a hit
+    if app.deadline <= 0:  # the stage memo never sees the deadline
         raise ValidationError(
             f"deadline must be positive, got {app.deadline}")
-    stage = _canonical_stage(app, n_processors, reserve, structure,
-                             heuristic, use_cache)
+    stage = _canonical_stage(app.graph, n_processors, reserve, heuristic,
+                             structure, use_cache)
     if structure is None:
         structure = stage.structure
-
-    sections: Dict[int, SectionPlan] = {}
-    for sid, (wc, length_wc, length_ac, order, preds) in \
-            stage.sections.items():
-        sections[sid] = SectionPlan(
-            sid=sid,
-            schedule=wc,
-            length_wc=length_wc,
-            length_ac=length_ac,
-            dispatch_order=list(order),
-            preds_within={k: list(v) for k, v in preds.items()},
-        )
-
-    branch_stats: Dict[str, Dict[int, PathStats]] = {}
-    _fill_remaining(structure, sections, branch_stats, structure.root_id)
-
-    root = sections[structure.root_id]
-    t_worst = root.worst_from_here
-    t_avg = root.avg_from_here
-    if require_feasible and t_worst > app.deadline * (1 + 1e-12):
-        raise InfeasibleError(t_worst, app.deadline,
+    if require_feasible and stage.t_worst > app.deadline * (1 + 1e-12):
+        raise InfeasibleError(stage.t_worst, app.deadline,
                               detail=f"app={app.name!r}, m={n_processors}")
 
-    _shift(structure, sections, app.deadline, structure.root_id)
-
+    sections = {sid: SectionPlan(
+                    sid=sid, schedule=sp.schedule, length_wc=sp.length_wc,
+                    length_ac=sp.length_ac, worst_after=sp.worst_after,
+                    avg_after=sp.avg_after,
+                    dispatch_order=list(sp.dispatch_order),
+                    preds_within=dict(sp.preds_within))
+                for sid, sp in stage.sections.items()}
+    _shift(sections, app.deadline)
     return OfflinePlan(app=app, structure=structure,
                        n_processors=n_processors, reserve=reserve,
-                       sections=sections, t_worst=t_worst, t_avg=t_avg,
-                       branch_stats=branch_stats, heuristic=heuristic)
+                       sections=sections, t_worst=stage.t_worst,
+                       t_avg=stage.t_avg,
+                       branch_stats={o: dict(stats) for o, stats in
+                                     stage.branch_stats.items()},
+                       heuristic=heuristic)
 
 
 def _fill_remaining(structure: SectionStructure,
@@ -310,8 +333,7 @@ def _fill_remaining(structure: SectionStructure,
     plan.avg_after = avg
 
 
-def _shift(structure: SectionStructure, sections: Dict[int, SectionPlan],
-           deadline: float, root_sid: int) -> None:
+def _shift(sections: Dict[int, SectionPlan], deadline: float) -> None:
     """Round 2: shift each section so worst-case work ends exactly at D.
 
     The shift of a section depends only on the worst-case remaining work
@@ -322,7 +344,6 @@ def _shift(structure: SectionStructure, sections: Dict[int, SectionPlan],
     this one).  This is the recursive shifting of embedded OR nodes the
     paper describes, collapsed to a closed form.
     """
-    del root_sid  # shifts are global; parameter kept for call symmetry
     for plan in sections.values():
         shift = deadline - plan.worst_from_here
         plan.shift = shift

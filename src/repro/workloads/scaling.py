@@ -11,25 +11,20 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..graph.andor import AndOrGraph, Application
-from ..graph.validate import validate_graph
-from ..offline.plan import build_plan
+# ``build_plan`` stays bound here although this module builds no plan:
+# perfbench's layer tracer wraps it at this lookup site.
+from ..offline.plan import build_plan, canonical_lengths  # noqa: F401
 
 
 def worst_case_length(graph: AndOrGraph, n_processors: int,
                       reserve: float = 0.0) -> float:
     """Canonical worst-case finish time of the longest path."""
-    probe = Application(graph=graph, deadline=1.0, name=graph.name)
-    plan = build_plan(probe, n_processors, reserve=reserve,
-                      require_feasible=False)
-    return plan.t_worst
+    return canonical_lengths(graph, n_processors, reserve)[0]
 
 
 def average_case_length(graph: AndOrGraph, n_processors: int) -> float:
     """Probability-weighted average-case finish time (the profile's a)."""
-    probe = Application(graph=graph, deadline=1.0, name=graph.name)
-    plan = build_plan(probe, n_processors, reserve=0.0,
-                      require_feasible=False)
-    return plan.t_avg
+    return canonical_lengths(graph, n_processors)[1]
 
 
 def application_with_load(graph: AndOrGraph, load: float,
@@ -42,7 +37,8 @@ def application_with_load(graph: AndOrGraph, load: float,
     """
     if not (0 < load <= 1.0):
         raise ConfigError(f"load must be in (0, 1], got {load}")
-    validate_graph(graph)
+    # validation happens in the canonical stage (or happened for an
+    # equal graph whose stage is cached)
     t_worst = worst_case_length(graph, n_processors)
     deadline = t_worst / load
     return Application(graph=graph, deadline=deadline,

@@ -195,7 +195,7 @@ class TestExecutorCacheProbe:
         from repro.experiments import evalcache as evalcache_mod
         from repro.experiments.fused import ShardTask
         app, cfg = point
-        task = ShardTask(0, 2, 0, 5, (app,), (cfg,), False)
+        task = ShardTask(0, 2, 0, 5, (app,), (cfg,))
         worker = DispatchWorker("localhost", 1, cache_dir=str(tmp_path))
 
         def _no_key(*args, **kwargs):

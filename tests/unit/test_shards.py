@@ -207,26 +207,70 @@ class TestWorkerKernelStats:
 
 class TestShardBlockTransport:
     def test_matrix_round_trips_exactly(self):
-        from repro.experiments.engine import publish_shard_block
+        import pickle
+        from repro.experiments.engine import ShardBlock
         rng = np.random.default_rng(7)
         matrix = rng.normal(size=(9, 120))
-        block = publish_shard_block(matrix)
+        block = ShardBlock.allocate(matrix.shape)
         if block is None:
             pytest.skip("shared memory unavailable on this platform")
+        # the worker writes through an unpickled descriptor
+        pickle.loads(pickle.dumps(block)).publish(matrix)
         out = block.take()
         assert np.array_equal(out, matrix)
         assert out.dtype == matrix.dtype
 
     def test_empty_matrix_is_not_published(self):
-        from repro.experiments.engine import publish_shard_block
-        assert publish_shard_block(np.empty((0, 0))) is None
+        from repro.experiments.engine import ShardBlock
+        assert ShardBlock.allocate((0, 0)) is None
 
     def test_take_after_unlink_raises_transport_error(self):
         from repro.errors import TransportError
-        from repro.experiments.engine import publish_shard_block
-        block = publish_shard_block(np.ones((2, 3)))
+        from repro.experiments.engine import ShardBlock
+        block = ShardBlock.allocate((2, 3))
         if block is None:
             pytest.skip("shared memory unavailable on this platform")
+        block.publish(np.ones((2, 3)))
         block.take()  # consumes and unlinks the segment
         with pytest.raises(TransportError):
             block.take()
+        with pytest.raises(TransportError):  # a late worker write
+            block.publish(np.ones((2, 3)))
+        block.release()  # idempotent
+
+    def test_pickled_fallback_is_counted_and_exact(self):
+        """A worker that cannot write its block ships the matrix
+        pickled; the reduction still places it exactly and counts the
+        fallback where the sweep reads resilience counters."""
+        from repro.experiments import ExecutionContext
+        from repro.experiments.engine import ShardBlock
+        graph = figure3_graph()
+        cfg = RunConfig(schemes=("GSS", "SPM"), n_runs=30, seed=4)
+        apps = tuple(application_with_load(graph, load, 2)
+                     for load in (0.4, 0.7))
+        configs = (cfg, cfg)
+        build = fused_mod._build_fused(apps, configs)
+        ranges = [(0, 12), (12, 30)]
+        blocks, results = [], []
+        for s, (lo, hi) in enumerate(ranges):
+            block = ShardBlock.allocate(fused_mod._shard_shape(
+                len(build.scheme_names), len(apps), lo, hi))
+            if block is None:
+                pytest.skip("shared memory unavailable on this platform")
+            if s == 1:
+                block.release()  # the worker finds the segment gone
+            task = fused_mod.ShardTask(s, len(ranges), lo, hi, apps,
+                                       configs, block)
+            results.append(fused_mod.run_shard(task))
+            blocks.append(block)
+        assert results[0].matrix is None and results[1].matrix is not None
+        with ExecutionContext(n_jobs=1) as ctx:
+            out = fused_mod._reduce_shards(build, configs, ranges, results,
+                                           blocks, ctx)
+            assert ctx.resilience["shm_fallbacks"] == 1
+        mono = fused_mod._compute_fused(build, configs)
+        assert np.array_equal(out[1], mono[1])
+        for name in build.scheme_names:
+            assert np.array_equal(out[2][name], mono[2][name])
+            assert np.array_equal(out[3][name], mono[3][name])
+        assert out[4] == list(mono[4])
