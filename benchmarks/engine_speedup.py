@@ -123,13 +123,13 @@ def main(argv=None) -> int:
                                        power, cfg.overhead, batch,
                                        kernel_tier=tier)
 
-    d_npm, d_abs, _, d_keys = dict_kernel()   # warm-up + reference output
+    d_npm, d_abs, _, _, d_keys = dict_kernel()  # warm-up + reference
     tiers = ["legacy", "numpy"]
     if jit_available():
         tiers.append("jit")
     tier_seconds = {}
     for tier in tiers:
-        c_npm, c_abs, _, c_keys = compiled_kernel(tier)  # warm-up + check
+        c_npm, c_abs, _, _, c_keys = compiled_kernel(tier)  # warm-up, check
         assert d_keys == c_keys, f"{tier} kernel diverged on path keys"
         assert np.array_equal(d_npm, c_npm), f"{tier} kernel diverged on NPM"
         for scheme in d_abs:

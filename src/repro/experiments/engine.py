@@ -501,11 +501,11 @@ def _eval_chunk_task(setup_key: str, app, config, start: int, chunk):
     if isinstance(chunk, ShmChunk):
         chunk = chunk.resolve()
     if engine == "compiled":
-        npm, absolute, changes, keys = _simulate_runs_compiled(
+        npm, absolute, _finish, changes, keys = _simulate_runs_compiled(
             plan_dyn, plan_static, scheme_names, power, overhead, chunk,
             kernel_tier=config.kernel_tier)
     else:
-        npm, absolute, changes, keys = _simulate_runs(
+        npm, absolute, _finish, changes, keys = _simulate_runs(
             plan_dyn, plan_static, scheme_names, power, overhead, chunk)
     return start, npm, absolute, changes, keys
 

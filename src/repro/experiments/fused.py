@@ -54,17 +54,16 @@ import numpy as np
 from ..core.registry import get_policy
 from ..errors import ConfigError, FaultInjected, ParallelError, TransportError
 from ..graph.andor import Application
-from ..power.overhead import NO_OVERHEAD
-from ..sim.compiled import (CompiledKernel, compile_plan, path_groups,
-                            run_dynamic_batch, run_fixed_batch,
-                            supports_dynamic_batch)
+from ..sim.compiled import (compile_plan, path_groups, run_dynamic_batch,
+                            run_fixed_batch)
 from ..sim.realization import sample_realization_batch
-from ..sim.sweepc import (StackedProgram, _stack_values, fused_bytes_estimate,
+from ..sim.sweepc import (StackedProgram, fused_bytes_estimate,
                           plan_shards, programs_compatible, stack_programs)
 from . import faults
 from .engine import (SHARD_SHM_MIN_BYTES, ExecutionContext, ShardBlock,
                      default_executors, effective_cores)
-from .runner import EvaluationResult, RunConfig, build_plans
+from .runner import (EvaluationResult, RunConfig, _run_scalar, _sort_schemes,
+                     build_plans)
 
 #: session default consulted when ``RunConfig.shards`` is None, seeded
 #: from ``REPRO_SHARDS`` (module attribute so tests can monkeypatch it;
@@ -101,24 +100,6 @@ def take_fused_meta() -> Optional[Dict[str, object]]:
     out = _LAST_FUSED
     _LAST_FUSED = None
     return out
-
-
-class _FusedRunSpec:
-    """A duck-typed PolicyRun whose protocol attributes are per-point.
-
-    :func:`~repro.sim.compiled.run_dynamic_batch` consults only the
-    declared protocol attributes (``floor_const``/``floor_step``/
-    ``or_respec``) and never mutates the run, so a plain object carrying
-    stacked values replays every point's probe exactly.
-    """
-
-    fixed_speed = None
-
-    def __init__(self, name, floor_const, floor_step, or_respec):
-        self.name = name
-        self.floor_const = floor_const
-        self.floor_step = floor_step
-        self.or_respec = or_respec
 
 
 class _View:
@@ -249,105 +230,19 @@ def _build_fused(apps: Sequence[Application],
                        dyn_points, dyn_plans, dyn_progs, stacked_dyn)
 
 
-def _stack_probes(name: str, probes) -> Optional[_FusedRunSpec]:
-    """Stack per-point dynamic probes into one fused run spec, or ``None``.
-
-    The probes must agree on *which* protocol attributes they declare
-    (all-constant floor, all-step floor, same ``or_respec``); the
-    declared float values may differ per point and are stacked.
-    """
-    respec = probes[0].or_respec
-    if any(p.or_respec != respec for p in probes[1:]):
-        return None
-    consts = [p.floor_const for p in probes]
-    steps = [p.floor_step for p in probes]
-    if all(c is not None for c in consts) and all(s is None for s in steps):
-        return _FusedRunSpec(name, _stack_values(consts), None, respec)
-    if all(s is not None for s in steps) and all(c is None for c in consts):
-        f_lo = _stack_values([s[0] for s in steps])
-        f_hi = _stack_values([s[1] for s in steps])
-        theta = _stack_values([s[2] for s in steps])
-        return _FusedRunSpec(name, None, (f_lo, f_hi, theta), respec)
-    return None
-
-
-def _scalar_fallback(policy, view: _View, power, overhead):
-    """Per-point scalar-kernel loop for schemes the batch kernels skip.
-
-    Mirrors the tail of ``_simulate_runs_compiled`` point by point (the
-    oracle's per-realization probing, or a custom scheme outside the
-    declared protocol), so fused sweeps never change *which* code
-    computes a scheme — only how the batchable ones are batched.
-    """
-    needs_rl = policy.needs_realization
-    total = view.matrix.shape[0]
-    abs_arr = np.empty(total)
-    chg_arr = np.empty(total, dtype=float)
-    for p in range(len(view.plans)):
+def _scalar_fallback(policy, probes, view: _View, power, overhead):
+    """Per-point scalar-kernel loop for a scheme the batch kernels skip:
+    ``_simulate_runs_compiled``'s fallback point by point, so fused
+    sweeps never change *which* code computes a scheme."""
+    abs_arr = np.empty(view.matrix.shape[0])
+    chg_arr = np.empty(view.matrix.shape[0])
+    for p, (plan, prog, batch) in enumerate(zip(view.plans, view.progs,
+                                                view.batches)):
         lo, hi = int(view.offsets[p]), int(view.offsets[p + 1])
-        plan = view.plans[p]
-        batch = view.batches[p]
-        kernel = CompiledKernel(view.progs[p], power, overhead)
-        rows = view.matrix[lo:hi].tolist()
-        choice_rows = batch.choice_rows()
-        shared_run = None
-        if not needs_rl:
-            probe = policy.start_run(plan, power, overhead)
-            if probe.stateless:
-                shared_run = probe
-        for i in range(hi - lo):
-            if shared_run is not None:
-                run = shared_run
-            else:
-                rl = batch.realization(i) if needs_rl else None
-                run = policy.start_run(plan, power, overhead,
-                                       realization=rl)
-            res = kernel.run(run, rows[i], choice_rows[i])
-            abs_arr[lo + i] = res.total_energy
-            chg_arr[lo + i] = res.n_speed_changes
+        abs_arr[lo:hi], _fin, chg_arr[lo:hi] = _run_scalar(
+            policy, probes[p] if probes is not None else None, plan, prog,
+            power, overhead, view.matrix[lo:hi].tolist(), batch)
     return abs_arr, chg_arr
-
-
-def _eval_scheme(policy, name: str, view: _View, power, overhead,
-                 kernel_tier=None):
-    """One scheme's (absolute, changes) over a view's whole run axis.
-
-    The fused mirror of the per-scheme dispatch in
-    ``_simulate_runs_compiled``: batch-constant fixed speeds (stacked to
-    a per-point vector), then the protocol-declared dynamic schemes,
-    then the scalar per-run fallback.
-    """
-    speeds = [policy.batch_fixed_speed(p, power, overhead)
-              for p in view.plans]
-    if all(s is not None for s in speeds):
-        speed = _stack_values(speeds)
-        res = run_fixed_batch(view.prog, power, overhead, view.matrix,
-                              view.groups, view.keys, speed, name,
-                              point_of=view.point_of,
-                              kernel_tier=kernel_tier)
-        per_point = np.asarray(res.n_speed_changes, dtype=float)
-        if per_point.ndim == 0:  # every point stacked to one scalar speed
-            changes = np.full(view.matrix.shape[0], float(per_point))
-        else:
-            changes = per_point[view.point_of]
-        return res.total_energy, changes
-    if any(s is not None for s in speeds):
-        # mixed fixed/dynamic across points: no single kernel shape
-        # covers the view — punt the whole sweep to per-point evaluation
-        return None
-    if not policy.needs_realization:
-        probes = [policy.start_run(plan, power, overhead)
-                  for plan in view.plans]
-        if all(supports_dynamic_batch(pr, power) for pr in probes):
-            spec = _stack_probes(name, probes)
-            if spec is not None:
-                res = run_dynamic_batch(view.prog, power, overhead,
-                                        view.matrix, view.groups,
-                                        view.keys, spec, name,
-                                        point_of=view.point_of,
-                                        kernel_tier=kernel_tier)
-                return res.total_energy, res.n_speed_changes.astype(float)
-    return _scalar_fallback(policy, view, power, overhead)
 
 
 def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
@@ -396,7 +291,6 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
     static_view = _View(stacked_static, static_plans, static_progs,
                         batches, matrix, groups, path_keys, point_of,
                         offsets, np.arange(total))
-    dyn_view: Optional[_View] = None
 
     def _build_dyn_view() -> _View:
         if len(dyn_points) == n_points:
@@ -424,45 +318,57 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
                      sub_matrix, sub_groups, sub_keys, sub_point_of,
                      sub_offsets, sel)
 
-    base_res = run_fixed_batch(stacked_static, power, NO_OVERHEAD, matrix,
-                               groups, path_keys, power.s_max, "NPM",
-                               point_of=point_of, kernel_tier=tier)
-    npm_energy = base_res.total_energy
+    sorted_schemes = _sort_schemes(
+        scheme_names, {False: static_plans, True: dyn_plans}, power,
+        overhead)
+    if sorted_schemes is None:
+        return None
+    calls, scalar = sorted_schemes
+    views = {False: static_view}
+    if any(reserve for _kind, reserve in calls) \
+            or any(reserve for *_, reserve in scalar.values()):
+        views[True] = _build_dyn_view()
+
+    # per scheme: (view, absolute, changes) over the view's run axis
+    out = {}
+    for (kind, reserve), specs in calls.items():
+        view = views[reserve]
+        kernel = run_fixed_batch if kind == "fixed" else run_dynamic_batch
+        results = kernel(view.prog, power, overhead, view.matrix,
+                         view.groups, view.keys, specs,
+                         point_of=view.point_of, kernel_tier=tier)
+        for (name, _run), res in zip(specs, results):
+            chg = np.asarray(res.n_speed_changes, dtype=float)
+            if kind == "fixed":
+                # one switch count per point, or one for every point
+                chg = (np.full(view.matrix.shape[0], chg) if chg.ndim == 0
+                       else chg[view.point_of])
+            out[name] = (view, res.total_energy, chg)
+    for name, (policy, probes, reserve) in scalar.items():
+        view = views[reserve]
+        out[name] = (view,) + _scalar_fallback(policy, probes, view, power,
+                                               overhead)
+
+    npm_energy = out["NPM"][1]
     absolute = {}
     changes = {}
     for name in scheme_names:
-        policy = get_policy(name)
-        if name == "NPM":
-            absolute[name] = npm_energy.copy()
-            changes[name] = np.full(total, float(base_res.n_speed_changes))
-            continue
-        if policy.requires_reserve and not dyn_points:
-            # DVS disabled at every point: the scheme runs like NPM
+        if name == "NPM" or name not in out:
+            # NPM is the base; with no dynamic plan at any point a
+            # dynamic scheme runs like NPM, with no switches
             absolute[name] = npm_energy.copy()
             changes[name] = np.zeros(total)
             continue
-        if policy.requires_reserve:
-            if dyn_view is None:
-                dyn_view = _build_dyn_view()
-            view = dyn_view
-        else:
-            view = static_view
-        out = _eval_scheme(policy, name, view, power, overhead,
-                           kernel_tier=tier)
-        if out is None:
-            return None
-        abs_v, chg_v = out
+        view, abs_v, chg_v = out[name]
         if view.rows.size == total:
             absolute[name] = abs_v
             changes[name] = chg_v
         else:
             # points without a dynamic plan run like NPM, zero switches
-            a = npm_energy.copy()
-            c = np.zeros(total)
-            a[view.rows] = abs_v
-            c[view.rows] = chg_v
-            absolute[name] = a
-            changes[name] = c
+            absolute[name] = npm_energy.copy()
+            changes[name] = np.zeros(total)
+            absolute[name][view.rows] = abs_v
+            changes[name][view.rows] = chg_v
     return offsets, npm_energy, absolute, changes, path_keys
 
 
@@ -607,31 +513,15 @@ def _stateful_scalar_schemes(build: _FusedBuild) -> Optional[List[str]]:
     one scheme — the monolithic pass would punt those to per-point
     evaluation anyway.
     """
-    power, overhead = build.power, build.overhead
-    stateful: List[str] = []
-    for name in build.scheme_names:
-        policy = get_policy(name)
-        if name == "NPM":
-            continue
-        if policy.requires_reserve and not build.dyn_points:
-            continue
-        plans = (build.dyn_plans if policy.requires_reserve
-                 else build.static_plans)
-        speeds = [policy.batch_fixed_speed(p, power, overhead)
-                  for p in plans]
-        if all(s is not None for s in speeds):
-            continue
-        if any(s is not None for s in speeds):
-            return None
-        if policy.needs_realization:
-            continue
-        probes = [policy.start_run(p, power, overhead) for p in plans]
-        if all(supports_dynamic_batch(pr, power) for pr in probes) \
-                and _stack_probes(name, probes) is not None:
-            continue
-        if not all(pr.stateless for pr in probes):
-            stateful.append(name)
-    return stateful
+    sorted_schemes = _sort_schemes(
+        build.scheme_names,
+        {False: build.static_plans, True: build.dyn_plans}, build.power,
+        build.overhead)
+    if sorted_schemes is None:
+        return None
+    return [name for name, (_policy, probes, _reserve)
+            in sorted_schemes[1].items()
+            if probes is not None and not all(pr.stateless for pr in probes)]
 
 
 def _resolve_shard_count(build: _FusedBuild, configs: Sequence[RunConfig],

@@ -40,13 +40,12 @@ All admitted jobs share one graph and one relative deadline, so the
 stream compiles like a single evaluation point: one realization batch
 of ``n_admitted`` runs drawn from ``default_rng(seed)`` — *exactly*
 the batch :func:`~repro.experiments.runner.evaluate_application` draws
-for ``n_runs = n_admitted`` — executed per scheme through the batch
-kernels (:func:`~repro.sim.compiled.run_fixed_batch` /
-:func:`~repro.sim.compiled.run_dynamic_batch`, which also expose
-per-run finish times), with the scalar compiled kernel and the dict
-engine as fallbacks, mirroring the offline evaluator's dispatch
-exactly.  Each scheme then replays the FIFO ledger with its own
-realized durations: ``start_j = max(a_j, finish_{j-1})``.
+for ``n_runs = n_admitted`` — executed by the offline evaluator's own
+simulation helper (one batch-kernel call per kernel for all schemes,
+the scalar compiled kernel for the rest, or the dict engine), which
+also returns per-run finish times.  Each scheme then replays the FIFO
+ledger with its own realized durations: ``start_j = max(a_j,
+finish_{j-1})``.
 
 The degenerate single-arrival stream (one job at t=0) is therefore
 bit-identical to ``evaluate_application(app, config.with_(n_runs=1))``
@@ -66,12 +65,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.base import SpeedPolicy
 from ..core.registry import get_policy
 from ..errors import ConfigError, FaultInjected
 from ..graph.andor import AndOrGraph
 from ..power.model import PowerModel
-from ..power.overhead import NO_OVERHEAD, OverheadModel
+from ..power.overhead import OverheadModel
 from ..offline.plan import OfflinePlan
 from ..sim.arrivals import (
     ARRIVAL_KINDS,
@@ -79,14 +77,13 @@ from ..sim.arrivals import (
     load_arrival_trace,
     make_arrival_process,
 )
-from ..sim.compiled import (
-    CompiledKernel,
+# the stream simulates through the runner's helpers; these names stay
+# importable here, where perfbench's tracer wraps this module's layers
+from ..sim.compiled import (  # noqa: F401
     compile_plan,
     run_dynamic_batch,
     run_fixed_batch,
-    supports_dynamic_batch,
 )
-from ..sim.engine import simulate
 from ..sim.kernels import kernel_meta
 from ..sim.realization import RealizationBatch, sample_realization_batch
 from ..types import SeriesResult
@@ -98,7 +95,8 @@ from ..workloads.scaling import (
 from . import faults
 from .engine import ExecutionContext
 from .parallel import map_custom
-from .runner import RunConfig, build_plans
+from .runner import (RunConfig, _simulate_runs, _simulate_runs_compiled,
+                     build_plans)
 from .stats import summarize
 from .sweeps import _cache_before, _cache_meta
 
@@ -307,155 +305,24 @@ def _admit_stream(times: np.ndarray, t_worst: float, t_avg: float,
 def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
               scheme_names: Sequence[str], power: PowerModel,
               overhead: OverheadModel, batch: RealizationBatch,
-              engine: str, kernel_tier: Optional[str]
-              ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
-                         Dict[str, np.ndarray], Dict[str, np.ndarray],
-                         List[str]]:
+              engine: str, kernel_tier: Optional[str]):
     """Per-job energies, durations and switch counts for every scheme.
 
-    The finish-aware mirror of the offline evaluator's kernels: the
-    same dispatch order and the same kernel calls as
-    ``runner._simulate_runs_compiled`` / ``runner._simulate_runs`` (so
-    energies and switch counts are bit-identical to
+    The offline evaluator's own simulation helpers —
+    ``runner._simulate_runs_compiled`` (one batch-kernel call per kernel
+    for all schemes) or ``runner._simulate_runs`` (the dict engine) —
+    so energies and switch counts are bit-identical to
     :func:`~repro.experiments.runner.evaluate_application` on the same
-    batch), additionally returning each run's realized makespan — the
+    batch.  Of their ``(npm_energy, absolute, finish, changes,
+    path_keys)`` the stream reads each run's realized makespan too: the
     service time the FIFO ledger advances by.
     """
     if engine == "dict":
-        return _run_jobs_dict(plan_dyn, plan_static, scheme_names, power,
+        return _simulate_runs(plan_dyn, plan_static, scheme_names, power,
                               overhead, batch)
-    from ..sim.kernels import resolve_kernel_tier
-    tier = resolve_kernel_tier(kernel_tier)
-
-    policies: Dict[str, SpeedPolicy] = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        policies[policy.name] = policy
-
-    n = len(batch)
-    prog_static = compile_plan(plan_static)
-    prog_dyn = compile_plan(plan_dyn) if plan_dyn is not None else None
-    matrix = prog_static.realization_matrix(batch)
-    groups, path_keys = prog_static.executed_paths(batch.choices, n)
-
-    base = run_fixed_batch(prog_static, power, NO_OVERHEAD, matrix,
-                           groups, path_keys, power.s_max, "NPM",
-                           kernel_tier=tier)
-    npm_energy = base.total_energy
-    npm_finish = base.finish_time
-    absolute: Dict[str, np.ndarray] = {}
-    finish: Dict[str, np.ndarray] = {}
-    changes: Dict[str, np.ndarray] = {}
-    rows = None
-    choice_rows = None
-    for name, policy in policies.items():
-        if name == "NPM":
-            absolute[name] = npm_energy.copy()
-            finish[name] = npm_finish.copy()
-            changes[name] = np.full(n, float(base.n_speed_changes))
-            continue
-        if policy.requires_reserve and plan_dyn is None:
-            # DVS disabled at this load: the scheme runs like NPM
-            absolute[name] = npm_energy.copy()
-            finish[name] = npm_finish.copy()
-            changes[name] = np.zeros(n)
-            continue
-        plan = plan_dyn if policy.requires_reserve else plan_static
-        prog = prog_dyn if policy.requires_reserve else prog_static
-        speed = policy.batch_fixed_speed(plan, power, overhead)
-        if speed is not None:
-            res = run_fixed_batch(prog, power, overhead, matrix, groups,
-                                  path_keys, speed, name, kernel_tier=tier)
-            absolute[name] = res.total_energy
-            finish[name] = res.finish_time
-            changes[name] = np.full(n, float(res.n_speed_changes))
-            continue
-        needs_rl = policy.needs_realization
-        probe = None
-        if not needs_rl:
-            probe = policy.start_run(plan, power, overhead)
-            if supports_dynamic_batch(probe, power):
-                res = run_dynamic_batch(prog, power, overhead, matrix,
-                                        groups, path_keys, probe, name,
-                                        kernel_tier=tier)
-                absolute[name] = res.total_energy
-                finish[name] = res.finish_time
-                changes[name] = res.n_speed_changes.astype(float)
-                continue
-        if rows is None:  # lazily, only if a per-run scheme is present
-            rows = matrix.tolist()
-            choice_rows = batch.choice_rows()
-        kernel = CompiledKernel(prog, power, overhead)
-        abs_arr = np.empty(n)
-        fin_arr = np.empty(n)
-        chg_arr = np.empty(n, dtype=float)
-        shared_run = probe if (probe is not None and probe.stateless) \
-            else None
-        for i in range(n):
-            if shared_run is not None:
-                run = shared_run
-            else:
-                rl = batch.realization(i) if needs_rl else None
-                run = policy.start_run(plan, power, overhead,
-                                       realization=rl)
-            res = kernel.run(run, rows[i], choice_rows[i])
-            abs_arr[i] = res.total_energy
-            fin_arr[i] = res.finish_time
-            chg_arr[i] = res.n_speed_changes
-        absolute[name] = abs_arr
-        finish[name] = fin_arr
-        changes[name] = chg_arr
-    return npm_energy, npm_finish, absolute, finish, changes, path_keys
-
-
-def _run_jobs_dict(plan_dyn: Optional[OfflinePlan],
-                   plan_static: OfflinePlan,
-                   scheme_names: Sequence[str], power: PowerModel,
-                   overhead: OverheadModel, batch: RealizationBatch
-                   ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray],
-                              Dict[str, np.ndarray], Dict[str, np.ndarray],
-                              List[str]]:
-    """The reference dict-engine counterpart of :func:`_run_jobs`."""
-    from .runner import _path_key
-    structure = plan_static.structure
-    policies: Dict[str, SpeedPolicy] = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        policies[policy.name] = policy
-
-    n = len(batch)
-    npm_policy = get_policy("NPM")
-    npm_energy = np.empty(n)
-    npm_finish = np.empty(n)
-    absolute = {name: np.empty(n) for name in policies}
-    finish = {name: np.empty(n) for name in policies}
-    changes = {name: np.empty(n, dtype=float) for name in policies}
-    path_keys: List[str] = []
-    for i, rl in enumerate(batch):
-        npm_run = npm_policy.start_run(plan_static, power, NO_OVERHEAD,
-                                       realization=rl)
-        base = simulate(plan_static, npm_run, power, NO_OVERHEAD, rl)
-        npm_energy[i] = base.total_energy
-        npm_finish[i] = base.finish_time
-        path_keys.append(_path_key(structure, base))
-        for name, policy in policies.items():
-            if name == "NPM":
-                absolute[name][i] = base.total_energy
-                finish[name][i] = base.finish_time
-                changes[name][i] = base.n_speed_changes
-                continue
-            if policy.requires_reserve and plan_dyn is None:
-                absolute[name][i] = base.total_energy
-                finish[name][i] = base.finish_time
-                changes[name][i] = 0.0
-                continue
-            plan = plan_dyn if policy.requires_reserve else plan_static
-            run = policy.start_run(plan, power, overhead, realization=rl)
-            res = simulate(plan, run, power, overhead, rl)
-            absolute[name][i] = res.total_energy
-            finish[name][i] = res.finish_time
-            changes[name][i] = res.n_speed_changes
-    return npm_energy, npm_finish, absolute, finish, changes, path_keys
+    return _simulate_runs_compiled(plan_dyn, plan_static, scheme_names,
+                                   power, overhead, batch,
+                                   kernel_tier=kernel_tier)
 
 
 def _replay_fifo(arrivals: np.ndarray, durations: np.ndarray,
@@ -517,9 +384,9 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     rng = np.random.default_rng(config.seed)
     batch = sample_realization_batch(plan_static.structure, rng, n_adm,
                                      sigma_fraction=config.sigma_fraction)
-    npm_energy, _npm_finish, absolute, finish, changes, path_keys = \
-        _run_jobs(plan_dyn, plan_static, scheme_names, power,
-                  config.overhead, batch, config.engine, config.kernel_tier)
+    npm_energy, absolute, finish, changes, path_keys = _run_jobs(
+        plan_dyn, plan_static, scheme_names, power, config.overhead, batch,
+        config.engine, config.kernel_tier)
 
     result.npm_energy = npm_energy
     result.path_keys = path_keys

@@ -56,6 +56,7 @@ from ..sim.realization import (
     batch_in_chunks,
     sample_realization_batch,
 )
+from ..sim.sweepc import _stack_values
 
 
 #: engines selectable via :attr:`RunConfig.engine`
@@ -339,16 +340,17 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
                    scheme_names: Sequence[str],
                    power: PowerModel,
                    overhead: OverheadModel,
-                   realizations: Sequence[Realization]
-                   ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
-                              Dict[str, np.ndarray], List[str]]:
+                   realizations: Sequence[Realization]):
     """Simulate a block of prebuilt realizations under every scheme.
 
     The shared core of the sequential path and the per-chunk worker
     task: runs are simulated strictly in the order of ``realizations``
     and each run's computation is independent of the block's
     boundaries, which is what makes chunked execution bit-identical to
-    sequential execution.
+    sequential execution.  Returns ``(npm_energy, absolute, finish,
+    changes, path_keys)``: NPM's per-run energy, then per scheme the
+    per-run energy, finish time and switch count, and the per-run
+    executed path key.
     """
     structure = plan_static.structure
     policies: Dict[str, SpeedPolicy] = {}
@@ -360,6 +362,7 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
     npm_policy = get_policy("NPM")
     npm_energy = np.empty(n)
     absolute = {name: np.empty(n) for name in policies}
+    finish = {name: np.empty(n) for name in policies}
     changes = {name: np.empty(n, dtype=float) for name in policies}
     path_keys: List[str] = []
 
@@ -370,22 +373,143 @@ def _simulate_runs(plan_dyn: Optional[OfflinePlan],
         npm_energy[i] = base.total_energy
         path_keys.append(_path_key(structure, base))
         for name, policy in policies.items():
-            if name == "NPM":
-                absolute[name][i] = base.total_energy
-                changes[name][i] = base.n_speed_changes
-                continue
-            if policy.requires_reserve and plan_dyn is None:
-                # DVS disabled at this load: the scheme runs like NPM
-                absolute[name][i] = base.total_energy
-                changes[name][i] = 0.0
-                continue
-            plan = plan_dyn if policy.requires_reserve else plan_static
-            run = policy.start_run(plan, power, overhead,
-                                   realization=rl)
-            res = simulate(plan, run, power, overhead, rl)
+            if name == "NPM" or (policy.requires_reserve
+                                 and plan_dyn is None):
+                # NPM is the base; a dynamic scheme whose load leaves no
+                # room for DVS runs like NPM (which never switches)
+                res = base
+            else:
+                plan = plan_dyn if policy.requires_reserve else plan_static
+                run = policy.start_run(plan, power, overhead,
+                                       realization=rl)
+                res = simulate(plan, run, power, overhead, rl)
             absolute[name][i] = res.total_energy
+            finish[name][i] = res.finish_time
             changes[name][i] = res.n_speed_changes
-    return npm_energy, absolute, changes, path_keys
+    return npm_energy, absolute, finish, changes, path_keys
+
+
+def _run_scalar(policy, probe, plan, prog, power: PowerModel,
+                overhead: OverheadModel, rows, batch: RealizationBatch):
+    """Per-run scalar compiled kernel for a scheme the batch kernels
+    cannot replay (the oracle's per-realization probing, or a custom
+    scheme outside the declared protocol).
+
+    ``rows`` are the batch's actual-time rows; ``probe`` is the scheme's
+    realization-free run, if it made one.  Returns per-run ``(energy,
+    finish time, switch count)`` arrays.
+    """
+    n = len(rows)
+    out = np.empty((3, n))
+    choice_rows = batch.choice_rows()
+    kernel = CompiledKernel(prog, power, overhead)
+    # a run that *declares* it mutates nothing during a simulation
+    # serves every run (never inferred from which hooks it overrides)
+    shared = probe if probe is not None and probe.stateless else None
+    for i in range(n):
+        run = shared
+        if run is None:
+            rl = batch.realization(i) if policy.needs_realization else None
+            run = policy.start_run(plan, power, overhead, realization=rl)
+        res = kernel.run(run, rows[i], choice_rows[i])
+        out[:, i] = res.total_energy, res.finish_time, res.n_speed_changes
+    return out
+
+
+class _RunSpec:
+    """A duck-typed PolicyRun whose protocol attributes may be per-point.
+
+    :func:`~repro.sim.compiled.run_dynamic_batch` consults only the
+    declared protocol attributes (``floor_const``/``floor_step``/
+    ``or_respec``) and never mutates the run, so a plain object carrying
+    stacked values replays every point's probe exactly.
+    """
+
+    fixed_speed = None
+
+    def __init__(self, name, floor_const, floor_step, or_respec):
+        self.name = name
+        self.floor_const = floor_const
+        self.floor_step = floor_step
+        self.or_respec = or_respec
+
+
+def _stack_probes(name: str, probes) -> Optional[_RunSpec]:
+    """Stack per-point dynamic probes into one run spec, or ``None``.
+
+    The probes must agree on *which* protocol attributes they declare
+    (all-constant floor, all-step floor, same ``or_respec``); the
+    declared float values may differ per point and are stacked.
+    """
+    respec = probes[0].or_respec
+    if any(p.or_respec != respec for p in probes[1:]):
+        return None
+    consts = [p.floor_const for p in probes]
+    steps = [p.floor_step for p in probes]
+    if all(c is not None for c in consts) and all(s is None for s in steps):
+        return _RunSpec(name, _stack_values(consts), None, respec)
+    if all(s is not None for s in steps) and all(c is None for c in consts):
+        f_lo = _stack_values([s[0] for s in steps])
+        f_hi = _stack_values([s[1] for s in steps])
+        theta = _stack_values([s[2] for s in steps])
+        return _RunSpec(name, None, (f_lo, f_hi, theta), respec)
+    return None
+
+
+def _scheme_spec(policy, name: str, plans, power, overhead):
+    """How a scheme runs on the plans of one or more points.
+
+    ``("fixed", speed)`` with the per-point speeds stacked, ``("dynamic",
+    run spec)`` with the probes stacked, ``("scalar", probes)`` for the
+    per-run scalar kernel (``probes`` is ``None`` for schemes that need
+    the realization), or ``None`` when the points mix fixed and dynamic
+    shapes, so no single kernel call covers them.
+    """
+    speeds = [policy.batch_fixed_speed(p, power, overhead) for p in plans]
+    if all(s is not None for s in speeds):
+        return "fixed", _stack_values(speeds)
+    if any(s is not None for s in speeds):
+        return None
+    if policy.needs_realization:
+        return "scalar", None
+    probes = [policy.start_run(p, power, overhead) for p in plans]
+    if all(supports_dynamic_batch(pr, power) for pr in probes):
+        spec = _stack_probes(name, probes)
+        if spec is not None:
+            return "dynamic", spec
+    return "scalar", probes
+
+
+def _sort_schemes(scheme_names: Sequence[str], plans, power: PowerModel,
+                  overhead: OverheadModel):
+    """Sort schemes into batch-kernel calls and scalar fallbacks.
+
+    ``plans`` maps ``requires_reserve`` to the plans (one per point) a
+    scheme runs on; an empty list means no point has a dynamic plan, and
+    the dynamic schemes then run like NPM.  Returns ``(calls, scalar)``:
+    ``calls`` maps ``(kernel, reserve)`` to its ``(scheme, speed or run
+    spec)`` pairs, NPM's base first in the static fixed call (at
+    ``S_max`` nothing switches, so the call's overhead model never
+    applies to it); ``scalar`` maps every other scheme to ``(policy,
+    probes, reserve)``.  ``None`` when a scheme mixes fixed and dynamic
+    shapes across points.
+    """
+    calls = {("fixed", False): [("NPM", power.s_max)]}
+    scalar = {}
+    for name in scheme_names:
+        policy = get_policy(name)
+        reserve = policy.requires_reserve
+        if name == "NPM" or not plans[reserve]:
+            continue
+        how = _scheme_spec(policy, name, plans[reserve], power, overhead)
+        if how is None:
+            return None
+        kind, run = how
+        if kind == "scalar":
+            scalar[name] = (policy, run, reserve)
+        else:
+            calls.setdefault((kind, reserve), []).append((name, run))
+    return calls, scalar
 
 
 def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
@@ -394,19 +518,22 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
                             power: PowerModel,
                             overhead: OverheadModel,
                             batch: RealizationBatch,
-                            kernel_tier: Optional[str] = None
-                            ) -> Tuple[np.ndarray, Dict[str, np.ndarray],
-                                       Dict[str, np.ndarray], List[str]]:
+                            kernel_tier: Optional[str] = None):
     """The compiled-engine counterpart of :func:`_simulate_runs`.
 
-    Bit-identical outputs, different execution strategy: the realization
-    batch stays in the matrix form it was sampled as, NPM/SPM (and any
-    other batch-constant fixed speed) go through the vectorized
-    fixed-speed path, the protocol-declared dynamic schemes (GSS, SS1,
-    SS2, AS, PS on a discrete power model) go through the vectorized
-    dynamic path, and anything else runs the scalar compiled kernel per
-    run — no per-run dict materialization anywhere except for schemes
-    that declare ``needs_realization`` (the oracle).
+    Bit-identical outputs (the same five-tuple), different execution
+    strategy: the realization batch stays in the matrix form it was
+    sampled as, and every scheme joins one batch-kernel call per kernel
+    and program — NPM's base and any other batch-constant fixed speed
+    (SPM) one :func:`run_fixed_batch` call, the protocol-declared
+    dynamic schemes (GSS, SS1, SS2, AS, PS on a discrete power model)
+    one :func:`run_dynamic_batch` call, so the numpy tier walks the
+    batch's path trie once per call for all of them.  Anything else
+    runs the scalar compiled kernel per run — no per-run dict
+    materialization anywhere except for schemes that declare
+    ``needs_realization`` (the oracle).  A doctored batch raises the
+    fixed call's error before the dynamic call's, whatever the scheme
+    order.
 
     ``kernel_tier`` selects the batch-kernel tier (resolved once here so
     every batch call of the evaluation uses the same tier and any
@@ -415,81 +542,49 @@ def _simulate_runs_compiled(plan_dyn: Optional[OfflinePlan],
     from ..sim.kernels import resolve_kernel_tier
     tier = resolve_kernel_tier(kernel_tier)
 
-    policies: Dict[str, SpeedPolicy] = {}
-    for name in scheme_names:
-        policy = get_policy(name)
-        policies[policy.name] = policy
-
     n = len(batch)
-    prog_static = compile_plan(plan_static)
-    prog_dyn = compile_plan(plan_dyn) if plan_dyn is not None else None
-    matrix = prog_static.realization_matrix(batch)
-    groups, path_keys = prog_static.executed_paths(batch.choices, n)
+    # requires_reserve -> the plan (as a one-point list) and its program
+    plans = {False: [plan_static],
+             True: [plan_dyn] if plan_dyn is not None else []}
+    progs = {reserve: compile_plan(ps[0]) for reserve, ps in plans.items()
+             if ps}
+    matrix = progs[False].realization_matrix(batch)
+    groups, path_keys = progs[False].executed_paths(batch.choices, n)
 
-    base = run_fixed_batch(prog_static, power, NO_OVERHEAD, matrix,
-                           groups, path_keys, power.s_max, "NPM",
-                           kernel_tier=tier)
+    names = list(dict.fromkeys(get_policy(s).name for s in scheme_names))
+    calls, scalar = _sort_schemes(names, plans, power, overhead)
+
+    results = {}
+    for (kind, reserve), specs in calls.items():
+        kernel = run_fixed_batch if kind == "fixed" else run_dynamic_batch
+        results.update(zip(
+            (name for name, _run in specs),
+            kernel(progs[reserve], power, overhead, matrix, groups,
+                   path_keys, specs, kernel_tier=tier)))
+    base = results["NPM"]
     npm_energy = base.total_energy
+    rows = matrix.tolist() if scalar else None
     absolute: Dict[str, np.ndarray] = {}
+    finish: Dict[str, np.ndarray] = {}
     changes: Dict[str, np.ndarray] = {}
-    rows = None
-    choice_rows = None
-    for name, policy in policies.items():
-        if name == "NPM":
+    for name in names:
+        res = results.get(name)
+        if name in scalar:
+            policy, probes, reserve = scalar[name]
+            absolute[name], finish[name], changes[name] = _run_scalar(
+                policy, probes and probes[0], plans[reserve][0],
+                progs[reserve], power, overhead, rows, batch)
+        elif name == "NPM" or res is None:
+            # NPM is the base; a dynamic scheme whose load leaves no
+            # room for DVS has no result and runs like NPM
             absolute[name] = npm_energy.copy()
-            changes[name] = np.full(n, float(base.n_speed_changes))
-            continue
-        if policy.requires_reserve and plan_dyn is None:
-            # DVS disabled at this load: the scheme runs like NPM
-            absolute[name] = npm_energy.copy()
+            finish[name] = base.finish_time.copy()
             changes[name] = np.zeros(n)
-            continue
-        plan = plan_dyn if policy.requires_reserve else plan_static
-        prog = prog_dyn if policy.requires_reserve else prog_static
-        speed = policy.batch_fixed_speed(plan, power, overhead)
-        if speed is not None:
-            res = run_fixed_batch(prog, power, overhead, matrix, groups,
-                                  path_keys, speed, name, kernel_tier=tier)
+        else:
             absolute[name] = res.total_energy
-            changes[name] = np.full(n, float(res.n_speed_changes))
-            continue
-        needs_rl = policy.needs_realization
-        probe = None
-        if not needs_rl:
-            probe = policy.start_run(plan, power, overhead)
-            if supports_dynamic_batch(probe, power):
-                res = run_dynamic_batch(prog, power, overhead, matrix,
-                                        groups, path_keys, probe, name,
-                                        kernel_tier=tier)
-                absolute[name] = res.total_energy
-                changes[name] = res.n_speed_changes.astype(float)
-                continue
-        if rows is None:  # lazily, only if a per-run scheme is present
-            rows = matrix.tolist()
-            choice_rows = batch.choice_rows()
-        kernel = CompiledKernel(prog, power, overhead)
-        abs_arr = np.empty(n)
-        chg_arr = np.empty(n, dtype=float)
-        shared_run = None
-        if probe is not None and probe.stateless:
-            # the run *declares* it mutates nothing during a simulation,
-            # so one object serves every run.  (This used to be inferred
-            # from "does not override on_or_fired", which silently
-            # shared runs whose state is touched by any other hook.)
-            shared_run = probe
-        for i in range(n):
-            if shared_run is not None:
-                run = shared_run
-            else:
-                rl = batch.realization(i) if needs_rl else None
-                run = policy.start_run(plan, power, overhead,
-                                       realization=rl)
-            res = kernel.run(run, rows[i], choice_rows[i])
-            abs_arr[i] = res.total_energy
-            chg_arr[i] = res.n_speed_changes
-        absolute[name] = abs_arr
-        changes[name] = chg_arr
-    return npm_energy, absolute, changes, path_keys
+            finish[name] = res.finish_time
+            changes[name] = np.full(n, res.n_speed_changes, dtype=float)
+    return npm_energy, absolute, finish, changes, path_keys
 
 
 def _auto_chunk_size(n_runs: int, jobs: int) -> int:
@@ -578,13 +673,14 @@ def evaluate_application(app: Application,
 
     if jobs == 1:
         if config.engine == "compiled":
-            npm_energy, absolute, changes, path_keys = \
+            npm_energy, absolute, _finish, changes, path_keys = \
                 _simulate_runs_compiled(
                     plan_dyn, plan_static, scheme_names, power,
                     config.overhead, realizations,
                     kernel_tier=config.kernel_tier)
         else:
-            npm_energy, absolute, changes, path_keys = _simulate_runs(
+            npm_energy, absolute, _finish, changes, path_keys = \
+                _simulate_runs(
                 plan_dyn, plan_static, scheme_names, power,
                 config.overhead, realizations)
     else:

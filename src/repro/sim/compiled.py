@@ -645,31 +645,42 @@ def _at(value, k):
 
 def run_fixed_batch(prog, power: PowerModel,
                     overhead: OverheadModel, matrix: np.ndarray,
-                    groups, path_keys: List[str], speed,
-                    scheme: str,
+                    groups, path_keys: List[str], specs,
                     check_deadline: bool = True,
                     point_of: Optional[np.ndarray] = None,
                     kernel_tier: Optional[str] = None
-                    ) -> FixedBatchResult:
+                    ) -> List[FixedBatchResult]:
     """Vectorized fixed-speed simulation of a whole realization batch.
 
-    Dispatches to the kernel tier selected by ``kernel_tier`` (None for
-    the session default — see
-    :func:`repro.sim.kernels.resolve_kernel_tier`): ``legacy`` runs
-    :func:`_run_fixed_legacy` below, ``numpy`` the tape interpreter,
-    ``jit`` the numba-compiled tape cores.  All tiers are bit-identical;
-    the contract is documented on :func:`_run_fixed_legacy`.
+    ``specs`` lists ``(scheme, speed)`` pairs over the same program and
+    batch; the result holds one :class:`FixedBatchResult` per pair, in
+    order.  ``overhead`` applies to every pair (a pair at ``S_max``
+    never switches, so it never consults it).  Dispatches to the kernel
+    tier selected by ``kernel_tier`` (None for the session default —
+    see :func:`repro.sim.kernels.resolve_kernel_tier`): ``numpy`` runs
+    every pair in one walk of the tape interpreter, ``legacy``
+    (:func:`_run_fixed_legacy` below) and ``jit`` one call per pair.
+    All tiers are bit-identical and raise the error of the first
+    failing pair; the contract is documented on
+    :func:`_run_fixed_legacy`.
     """
+    return _dispatch(0, kernel_tier, (prog, power, overhead, matrix,
+                                      groups, path_keys), specs,
+                     check_deadline, point_of)
+
+
+def _dispatch(which: int, kernel_tier, args, specs, check_deadline,
+              point_of):
+    """Run ``specs`` on the fixed (0) or dynamic (1) kernel of a tier."""
     from . import kernels  # local import breaks the cycle
     tier = kernels.resolve_kernel_tier(kernel_tier)
-    if tier == "legacy":
-        return _run_fixed_legacy(prog, power, overhead, matrix, groups,
-                                 path_keys, speed, scheme,
-                                 check_deadline=check_deadline,
-                                 point_of=point_of)
-    fixed, _dynamic = kernels.get_kernels(tier)
-    return fixed(prog, power, overhead, matrix, groups, path_keys, speed,
-                 scheme, check_deadline=check_deadline, point_of=point_of)
+    kernel = kernels.get_kernels(tier)[which]
+    if tier == "numpy":
+        return kernel(*args, specs, check_deadline=check_deadline,
+                      point_of=point_of)
+    return [kernel(*args, run, scheme, check_deadline=check_deadline,
+                   point_of=point_of)
+            for scheme, run in specs]
 
 
 def _run_fixed_legacy(prog, power: PowerModel,
@@ -871,31 +882,22 @@ def supports_dynamic_batch(policy_run, power: PowerModel) -> bool:
 
 def run_dynamic_batch(prog, power: PowerModel,
                       overhead: OverheadModel, matrix: np.ndarray,
-                      groups, path_keys: List[str], policy_run,
-                      scheme: str,
+                      groups, path_keys: List[str], specs,
                       check_deadline: bool = True,
                       point_of: Optional[np.ndarray] = None,
                       kernel_tier: Optional[str] = None
-                      ) -> DynamicBatchResult:
+                      ) -> List[DynamicBatchResult]:
     """Vectorized dynamic-scheme simulation of a whole realization batch.
 
-    Dispatches to the kernel tier selected by ``kernel_tier`` (None for
-    the session default — see
-    :func:`repro.sim.kernels.resolve_kernel_tier`); all tiers are
-    bit-identical, and the contract is documented on
-    :func:`_run_dynamic_legacy`.
+    ``specs`` lists ``(scheme, policy_run)`` pairs that
+    :func:`supports_dynamic_batch` accepts; the result holds one
+    :class:`DynamicBatchResult` per pair, in order.  Dispatches like
+    :func:`run_fixed_batch`; all tiers are bit-identical, and the
+    contract is documented on :func:`_run_dynamic_legacy`.
     """
-    from . import kernels  # local import breaks the cycle
-    tier = kernels.resolve_kernel_tier(kernel_tier)
-    if tier == "legacy":
-        return _run_dynamic_legacy(prog, power, overhead, matrix, groups,
-                                   path_keys, policy_run, scheme,
-                                   check_deadline=check_deadline,
-                                   point_of=point_of)
-    _fixed, dynamic = kernels.get_kernels(tier)
-    return dynamic(prog, power, overhead, matrix, groups, path_keys,
-                   policy_run, scheme, check_deadline=check_deadline,
-                   point_of=point_of)
+    return _dispatch(1, kernel_tier, (prog, power, overhead, matrix,
+                                      groups, path_keys), specs,
+                     check_deadline, point_of)
 
 
 def _run_dynamic_legacy(prog, power: PowerModel,

@@ -12,15 +12,18 @@
 ``numpy``
     The tape interpreter (:mod:`.interp`) — programs lowered once to
     flat arrays (:mod:`.tape`), each OR-path prefix executed once for
-    every run below it, processor state kept processor-major,
-    per-point constants gathered a section at a time.  The default
-    when numba is absent.
+    every run below it and every scheme of the call, processor state
+    kept processor-major, per-point constants gathered a section at a
+    time.  The default when numba is absent.
 ``jit``
     numba-compiled scalar cores over the same tape
     (:mod:`.jit` / :mod:`.jitcore`), ``fastmath=False`` so IEEE
     ordering and NaN semantics — and therefore bit-identity — hold.
     Requires the optional ``[jit]`` extra; ``auto`` falls back to
     ``numpy`` with a one-time warning when numba is missing.
+
+``legacy`` and ``jit`` run one scheme per kernel call; the dispatchers
+in ``repro.sim.compiled`` loop them over a call's schemes.
 
 The tier is an execution knob, never a result knob: it is excluded
 from the evaluation-cache key and only recorded in

@@ -157,7 +157,7 @@ class TestWcetPrecheck:
         for tier in ("legacy", "numpy"):
             with pytest.raises(SimulationError) as ei:
                 run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix,
-                                groups, path_keys, power.s_max, "NPM",
+                                groups, path_keys, [("NPM", power.s_max)],
                                 kernel_tier=tier)
             msgs[tier] = str(ei.value)
         assert "exceeds WCET" in msgs["legacy"]
@@ -176,11 +176,142 @@ class TestWcetPrecheck:
         for tier in ("legacy", "numpy"):
             with pytest.raises(SimulationError) as ei:
                 run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix,
-                                  groups, path_keys, run, "GSS",
+                                  groups, path_keys, [("GSS", run)],
                                   kernel_tier=tier)
             msgs[tier] = str(ei.value)
         assert "exceeds WCET" in msgs["legacy"]
         assert msgs["numpy"] == msgs["legacy"]
+
+
+class TestStackedErrorParity:
+    """A ``numpy`` walk over several schemes raises what a per-scheme
+    loop raises: the first failing scheme's error, in caller order,
+    also when a tiny row cap splits the schemes over several walks."""
+
+    @staticmethod
+    def _inputs(m=2):
+        from repro.power import PAPER_OVERHEAD, transmeta_model
+        from repro.sim import sample_realization_batch
+        app = application_with_load(atr_graph(), 0.6, m)
+        plan = build_plan(app, m)
+        prog = compile_plan(plan)
+        batch = sample_realization_batch(plan.structure,
+                                         np.random.default_rng(3), 64)
+        matrix = prog.realization_matrix(batch)
+        groups, keys = prog.executed_paths(batch.choices, len(batch))
+        power = transmeta_model()
+        return plan, power, (prog, power, PAPER_OVERHEAD, matrix, groups,
+                             keys)
+
+    @staticmethod
+    def _loop_error(kernel, args, specs):
+        """The error of one single-scheme walk per spec, in order."""
+        for spec in specs:
+            try:
+                kernel(*args, [spec])
+            except SimulationError as exc:
+                return exc
+        raise AssertionError("no scheme failed")
+
+    def _assert_parity(self, monkeypatch, kernel, args, specs):
+        from repro.sim.kernels import interp
+        want = self._loop_error(kernel, args, specs)
+        for cap in (1 << 40, 2 * args[3].shape[0], 1):
+            monkeypatch.setattr(interp, "_WALK_ROWS", cap)
+            with pytest.raises(type(want)) as ei:
+                kernel(*args, specs)
+            assert str(ei.value) == str(want)
+        return want
+
+    def test_deadline_miss_names_the_second_of_three(self, monkeypatch):
+        from repro.errors import DeadlineMissError
+        from repro.sim.compiled import run_fixed_batch
+        from repro.sim.kernels.interp import run_fixed_tape
+        _plan, power, args = self._inputs()
+        slow = float(power.level_speed_table()[0])
+        specs = [("FAST", power.s_max), ("SLOW", slow), ("SLOWER", slow)]
+        want = self._assert_parity(monkeypatch, run_fixed_tape, args, specs)
+        assert isinstance(want, DeadlineMissError)
+        assert want.scheme == "SLOW"
+        with pytest.raises(DeadlineMissError) as ei:
+            run_fixed_batch(*args, specs, kernel_tier="legacy")
+        assert ei.value.scheme == "SLOW"
+
+    def test_guarantee_violation_follows_caller_order(self, monkeypatch):
+        """The second scheme violates only after ``t > 0`` and the third
+        at the very first task: the walk meets the third's violation
+        first, yet the second's is the one raised."""
+        from types import SimpleNamespace
+        from repro.core import get_policy
+        from repro.sim.kernels.interp import run_dynamic_tape
+        plan, power, args = self._inputs()
+        gss = get_policy("GSS").start_run(plan, power, args[2])
+        late = SimpleNamespace(floor_const=None, or_respec=None,
+                               floor_step=(0.0, 10.0, 1e-9))
+        early = SimpleNamespace(floor_const=10.0, or_respec=None,
+                                floor_step=None)
+        specs = [("GSS", gss), ("LATE", late), ("EARLY", early)]
+        want = self._assert_parity(monkeypatch, run_dynamic_tape, args,
+                                   specs)
+        assert "guarantee violated" in str(want)
+        assert str(want) != str(self._loop_error(
+            run_dynamic_tape, args, specs[2:]))
+
+    def test_wcet_violation_is_checked_once_with_legacy_message(
+            self, monkeypatch):
+        from repro.sim.compiled import run_fixed_batch
+        from repro.sim.kernels import interp
+        _plan, prog, matrix, groups, keys = \
+            TestWcetPrecheck()._doctored_batch()
+        power = self._inputs()[1]
+        from repro.power import PAPER_OVERHEAD
+        args = (prog, power, PAPER_OVERHEAD, matrix, groups, keys)
+        specs = [("NPM", power.s_max), ("A", 0.8), ("B", 0.6)]
+        with pytest.raises(SimulationError) as legacy:
+            run_fixed_batch(*args, specs, kernel_tier="legacy")
+        calls = []
+        precheck = interp._precheck_wcet
+        monkeypatch.setattr(interp, "_precheck_wcet",
+                            lambda *a: calls.append(1) or precheck(*a))
+        monkeypatch.setattr(interp, "_WALK_ROWS", 1)
+        with pytest.raises(SimulationError) as ei:
+            interp.run_fixed_tape(*args, specs)
+        assert "exceeds WCET" in str(ei.value)
+        assert str(ei.value) == str(legacy.value)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("which", ["fixed", "dynamic"])
+    def test_negative_idle_time_still_raises(self, monkeypatch, which):
+        """A processor pick that ignores occupation lets tasks overlap,
+        and with the deadline check off a near-zero deadline leaves the
+        window at the overlapped makespan: busy time outgrows it, and
+        the physical check fires."""
+        import copy
+        from functools import partial
+        from repro.core import get_policy
+        from repro.sim.kernels import interp
+        plan, power, args = self._inputs()
+        first_idle = interp._Procs.first_idle
+
+        def overlapping(procs):
+            mn, flat = first_idle(procs)
+            return np.full_like(mn, -np.inf), flat
+        monkeypatch.setattr(interp._Procs, "first_idle", overlapping)
+        prog = copy.copy(args[0])
+        prog.deadline = 1e-3
+        args = (prog,) + args[1:]
+        if which == "fixed":
+            kernel = interp.run_fixed_tape
+            specs = [("NPM", power.s_max), ("A", 0.8), ("B", 0.6)]
+        else:
+            kernel = interp.run_dynamic_tape
+            specs = [(name, get_policy(name).start_run(plan, power,
+                                                       args[2]))
+                     for name in ("GSS", "SS2", "AS")]
+        want = self._assert_parity(
+            monkeypatch, partial(kernel, check_deadline=False), args, specs)
+        assert type(want) is SimulationError
+        assert str(want).startswith("negative idle time")
 
 
 class TestJitPythonCores:
