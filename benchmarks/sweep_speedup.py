@@ -6,25 +6,17 @@ processors) four ways and emits ``BENCH_sweep.json``:
 1. **fused** — the default engine: the whole sweep is stacked into one
    array program (:mod:`repro.sim.sweepc`) and executed in the parent
    without a single worker pool;
-2. **cold** — the legacy run-level pool (``run_level_pool=True``,
-   ``fused=False``) with no shared
-   :class:`~repro.experiments.ExecutionContext`: every sweep point
-   spins up (and tears down) its own worker pool, which is what the
-   pre-PR-4 engine always did;
-3. **warm** — the same legacy shape under one persistent
-   ``ExecutionContext`` shared across all points, so pool spin-up is
-   paid once for the whole sweep.  An
-   :class:`~repro.experiments.EvaluationCache` in a scratch directory
-   is attached, so this pass also populates the on-disk cache (the
-   ``put`` cost is charged to the warm timing, as in real use);
-4. **cache** — the identical sweep re-run against the now-populated
-   cache: every point is served from disk without touching a pool.
+2. **cold** — the point-level pool (``fused=False``) on a fresh
+   :class:`~repro.experiments.ExecutionContext`: the sweep spins up
+   (and tears down) its own worker pool;
+3. **warm** — the same shape on one persistent ``ExecutionContext``
+   whose pool was spun up before the timing, so no pool start-up is
+   paid;
+4. **cache** — the identical sweep re-run against an
+   :class:`~repro.experiments.EvaluationCache` filled beforehand: every
+   point is served from disk without touching a pool.
 
-The fused pass is additionally re-timed once per kernel tier (legacy
-entry loop, numpy tape interpreter, numba jit when installed) on warm
-compile caches, so ``BENCH_sweep.json`` records ``tape_speedup`` (and
-``jit_speedup``) at sweep scale alongside the per-point numbers in
-``BENCH_engine.json``.
+Fused, cold and warm are each the best of :data:`REPS` sweeps.
 
 A fifth **fused_shard** section times the sharded fused path at a
 larger run count (``--shard-runs``): the same sweep executed
@@ -43,10 +35,10 @@ feature — and the fused pass is asserted to create **zero** pools.
 
 ``--budget-seconds`` (> 0) fails the invocation if the *cold* sweep
 exceeds the budget.  ``--min-warm-speedup`` / ``--min-cache-speedup``
-(> 0) gate the legacy ratios against cold.  ``--min-fused-speedup``
+(> 0) gate the pool ratios against cold.  ``--min-fused-speedup``
 (> 0) gates ``fused_vs_warm_speedup`` — the headline number: the fused
 array program must beat the best pool configuration (the warm
-persistent context) without engaging a run-level pool at all.
+persistent context) without engaging a pool at all.
 ``--min-shard-speedup`` (> 0) gates ``shard_speedup`` with the usual
 5% timing-noise tolerance.  CI smoke runs both at 1.0.
 
@@ -65,14 +57,20 @@ import time
 from _common import (
     FIG5_ATR,
     assert_series_equal,
+    best_of,
     effective_cores,
     peak_rss_mb,
     write_record,
 )
 from repro.experiments import (EvaluationCache, ExecutionContext, RunConfig,
                                sweep_load)
-from repro.sim.kernels import jit_available
 from repro.workloads import AtrConfig, atr_graph
+
+
+#: timed repetitions of the fused, cold and warm sweeps (best-of), so
+#: the pool start-up that cold and warm differ by is not lost in host
+#: noise; fused and warm then both run on warm per-process caches
+REPS = 3
 
 
 def _warm_task(x):
@@ -87,7 +85,7 @@ def main(argv=None) -> int:
     ap.add_argument("--runs", type=int, default=120,
                     help="Monte-Carlo runs per point")
     ap.add_argument("--jobs", type=int, default=4,
-                    help="worker count for both pool flavours")
+                    help="worker count for the cold and warm pools")
     ap.add_argument("--procs", type=int, default=6)
     ap.add_argument("--seed", type=int, default=2002)
     ap.add_argument("--alpha", type=float, default=0.9)
@@ -124,72 +122,54 @@ def main(argv=None) -> int:
     graph = atr_graph(AtrConfig(alpha=args.alpha, **FIG5_ATR))
     loads = [round(0.1 + 0.9 * i / max(args.points - 1, 1), 4)
              for i in range(args.points)]
-    # the legacy shape: run-level pooling per point with the fallback
-    # disabled, so the cold pass pays one pool spin-up per sweep point
-    # — exactly the overhead the persistent context amortizes
-    cfg_pool = RunConfig(n_runs=args.runs, seed=args.seed,
-                         n_processors=args.procs, engine="compiled",
-                         n_jobs=args.jobs, parallel_min_runs=0,
-                         run_level_pool=True)
-    # the default shape: no pool anywhere, one fused array program
-    cfg_fused = cfg_pool.with_(n_jobs=1, run_level_pool=False)
+    cfg = RunConfig(n_runs=args.runs, seed=args.seed,
+                    n_processors=args.procs, engine="compiled")
 
     print(f"sweep_speedup: {args.points} points x {args.runs} runs, "
           f"m={args.procs}, jobs={args.jobs}, cores={effective_cores()}")
+    passes = {}  # the series each timed pass returned
 
     with ExecutionContext(n_jobs=1) as ctx:
-        t0 = time.perf_counter()
-        series_fused = sweep_load(graph, cfg_fused, loads, context=ctx)
-        t_fused = time.perf_counter() - t0
+        def fused_sweep():
+            passes["fused"] = sweep_load(graph, cfg, loads, context=ctx)
+
+        t_fused = best_of(fused_sweep, REPS)
         fused_pools = ctx.pools_created
+    series_fused = passes["fused"]
     assert fused_pools == 0, \
         f"fused sweep engaged {fused_pools} pool(s); it must use none"
     print(f"  fused (one array program){t_fused:8.3f} s  (pools: 0)")
 
-    # per-tier fused passes on the now-warm compile caches (the pass
-    # above already stacked the sweep and lowered its tape), so each
-    # tier pays only kernel execution — the fair tier-vs-tier number
-    tier_list = ["legacy", "numpy"]
-    if jit_available():
-        tier_list.append("jit")
-    fused_tier_seconds = {}
-    for tier in tier_list:
-        with ExecutionContext(n_jobs=1) as ctx:
-            t0 = time.perf_counter()
-            series_tier = sweep_load(
-                graph, cfg_fused.with_(kernel_tier=tier), loads, context=ctx)
-            fused_tier_seconds[tier] = time.perf_counter() - t0
-        assert_series_equal(series_fused, series_tier, f"fused[{tier}]")
-        print(f"  fused [{tier:>6}] tier    "
-              f"{fused_tier_seconds[tier]:8.3f} s")
-    tape_speedup = (fused_tier_seconds["legacy"]
-                    / fused_tier_seconds["numpy"]
-                    if fused_tier_seconds["numpy"] > 0 else float("inf"))
-    jit_speedup = None
-    if "jit" in fused_tier_seconds and fused_tier_seconds["jit"] > 0:
-        jit_speedup = (fused_tier_seconds["legacy"]
-                       / fused_tier_seconds["jit"])
+    def cold_sweep():
+        with ExecutionContext(n_jobs=args.jobs) as ctx:
+            passes["cold"] = sweep_load(graph, cfg, loads, context=ctx,
+                                        fused=False)
 
-    t0 = time.perf_counter()
-    series_cold = sweep_load(graph, cfg_pool, loads, fused=False)
-    t_cold = time.perf_counter() - t0
-    print(f"  cold  (pool per point)   {t_cold:8.3f} s")
+    t_cold = best_of(cold_sweep, REPS)
+    print(f"  cold  (fresh pool)       {t_cold:8.3f} s")
+
+    with ExecutionContext(n_jobs=args.jobs) as ctx:
+        if ctx.jobs() > 1:  # spin the workers up outside the timing
+            ctx.map(_warm_task, [(i,) for i in range(ctx.jobs())])
+
+        def warm_sweep():
+            passes["warm"] = sweep_load(graph, cfg, loads, context=ctx,
+                                        fused=False)
+
+        t_warm = best_of(warm_sweep, REPS)
+        pools_created = ctx.pools_created
+    print(f"  warm  (pre-warmed pool)  {t_warm:8.3f} s  "
+          f"(pools created: {pools_created})")
+    series_cold, series_warm = passes["cold"], passes["warm"]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cache = EvaluationCache(tmp)
-        with ExecutionContext(n_jobs=args.jobs, cache=cache) as ctx:
-            t0 = time.perf_counter()
-            series_warm = sweep_load(graph, cfg_pool, loads, context=ctx,
-                                     fused=False)
-            t_warm = time.perf_counter() - t0
-            pools_created = ctx.pools_created
-        print(f"  warm  (persistent pool)  {t_warm:8.3f} s  "
-              f"(pools created: {pools_created})")
-
+        with ExecutionContext(n_jobs=1, cache=cache) as ctx:
+            sweep_load(graph, cfg, loads, context=ctx)  # fill, untimed
         before = cache.stats()
         with ExecutionContext(n_jobs=args.jobs, cache=cache) as ctx:
             t0 = time.perf_counter()
-            series_hit = sweep_load(graph, cfg_pool, loads, context=ctx,
+            series_hit = sweep_load(graph, cfg, loads, context=ctx,
                                     fused=False)
             t_hit = time.perf_counter() - t0
             stats = {k: ctx.cache_stats()[k] - before[k] for k in before}
@@ -199,7 +179,7 @@ def main(argv=None) -> int:
             "cache pass did not hit on every sweep point"
 
     # -- fused_shard: the sharded fused path at a larger run count ----------
-    cfg_shard_scale = cfg_fused.with_(n_runs=args.shard_runs)
+    cfg_shard_scale = cfg.with_(n_runs=args.shard_runs)
     rss_before_shards = peak_rss_mb()
     with ExecutionContext(n_jobs=1) as ctx:
         t0 = time.perf_counter()
@@ -246,14 +226,6 @@ def main(argv=None) -> int:
         "jobs": args.jobs,
         "cores": effective_cores(),
         "fused_seconds": round(t_fused, 4),
-        "fused_legacy_seconds": round(fused_tier_seconds["legacy"], 4),
-        "fused_numpy_seconds": round(fused_tier_seconds["numpy"], 4),
-        "fused_jit_seconds": (round(fused_tier_seconds["jit"], 4)
-                              if "jit" in fused_tier_seconds else None),
-        "tape_speedup": round(tape_speedup, 3),
-        "jit_speedup": (round(jit_speedup, 3)
-                        if jit_speedup is not None else None),
-        "kernel_tiers_timed": tier_list,
         "cold_seconds": round(t_cold, 4),
         "warm_seconds": round(t_warm, 4),
         "cache_seconds": round(t_hit, 4),
@@ -279,7 +251,6 @@ def main(argv=None) -> int:
     write_record(record, args.out)
     print(f"  fused speedup {fused_speedup:8.2f} x  (vs cold)")
     print(f"  fused vs warm {fused_vs_warm:8.2f} x")
-    print(f"  tape speedup  {tape_speedup:8.2f} x  (legacy -> numpy, fused)")
     print(f"  warm speedup  {warm_speedup:8.2f} x")
     print(f"  shard speedup {shard_speedup:8.2f} x  "
           f"({shards_ran} shards vs mono at {args.shard_runs} runs)")

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro tables
-    python -m repro fig4 [--runs 1000] [--jobs 4 | --n-jobs 4] [--csv out.csv]
+    python -m repro fig4 [--runs 1000] [--jobs 4] [--csv out.csv]
     python -m repro fig5 --backend dispatch --executors 8
     python -m repro fig6 ...
     python -m repro fig_online --runs 500 --arrival bursty
@@ -76,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--jobs", type=int, default=1,
                         help="worker processes across sweep points "
                              "(0 = all cores)")
-        fp.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
-                        help="worker processes for the Monte-Carlo runs "
-                             "inside each point (0 = all cores); opts "
-                             "into the legacy run-level pool and is "
-                             "mutually exclusive with --jobs > 1")
         fp.add_argument("--no-fused", action="store_true", dest="no_fused",
                         help="disable the fused sweep compiler and "
                              "evaluate each point separately")
@@ -99,25 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "the driver binds; remote 'repro worker' "
                              "processes join the fleet there (default: "
                              "loopback, ephemeral port)")
-        fp.add_argument("--runs-per-chunk", type=int, default=0,
-                        dest="runs_per_chunk",
-                        help="runs per worker task for --n-jobs "
-                             "(0 = auto)")
         fp.add_argument("--seed", type=int, default=2002)
         fp.add_argument("--engine", choices=("compiled", "dict"),
                         default="compiled",
                         help="simulation kernel (results are "
                              "bit-identical; 'dict' is the reference "
                              "engine, ~4x slower)")
-        fp.add_argument("--kernel-tier", dest="kernel_tier",
-                        choices=("auto", "legacy", "numpy", "jit"),
-                        default=None,
-                        help="batch-kernel tier for the compiled engine "
-                             "(results are bit-identical; default: the "
-                             "numpy tape interpreter, or "
-                             "$REPRO_KERNEL_TIER; 'auto' prefers the "
-                             "numba JIT when the [jit] extra is "
-                             "installed)")
         fp.add_argument("--shards", type=int, default=None,
                         help="split the fused sweep's runs axis into "
                              "this many seed-aligned shards executed on "
@@ -142,12 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "functions by cumulative time")
         fp.add_argument("--max-retries", type=int, default=2,
                         dest="max_retries",
-                        help="re-dispatches per chunk/point after a "
+                        help="re-dispatches per point/shard after a "
                              "worker crash, hang or transport failure "
                              "before degrading to serial execution")
         fp.add_argument("--chunk-timeout", type=float, default=0.0,
                         dest="chunk_timeout",
-                        help="seconds per dispatched chunk/point before "
+                        help="seconds per dispatched point/shard before "
                              "it is considered hung and re-dispatched "
                              "(0 = no timeout)")
         fp.add_argument("--no-degrade", action="store_true",
@@ -179,23 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--procs", type=int, default=2)
     rp.add_argument("--runs", type=int, default=1000)
     rp.add_argument("--seed", type=int, default=2002)
-    rp.add_argument("--n-jobs", type=int, default=1, dest="n_jobs",
-                    help="worker processes for the Monte-Carlo runs "
-                         "(0 = all cores); opts into the legacy "
-                         "run-level pool")
-    rp.add_argument("--runs-per-chunk", type=int, default=0,
-                    dest="runs_per_chunk",
-                    help="runs per worker task (0 = auto)")
     rp.add_argument("--engine", choices=("compiled", "dict"),
                     default="compiled",
                     help="simulation kernel (results are bit-identical; "
                          "'dict' is the reference engine, ~4x slower)")
-    rp.add_argument("--kernel-tier", dest="kernel_tier",
-                    choices=("auto", "legacy", "numpy", "jit"),
-                    default=None,
-                    help="batch-kernel tier for the compiled engine "
-                         "(results are bit-identical; default: the numpy "
-                         "tape interpreter, or $REPRO_KERNEL_TIER)")
     rp.add_argument("--cache-stats", action="store_true",
                     dest="cache_stats",
                     help="print the kernel-side cache counters "
@@ -204,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--profile", action="store_true",
                     help="run under cProfile and print the top 25 "
                          "functions by cumulative time")
-    rp.add_argument("--max-retries", type=int, default=2,
-                    dest="max_retries",
-                    help="re-dispatches per chunk after a worker crash, "
-                         "hang or transport failure")
-    rp.add_argument("--chunk-timeout", type=float, default=0.0,
-                    dest="chunk_timeout",
-                    help="seconds per dispatched chunk before it is "
-                         "considered hung (0 = no timeout)")
-    rp.add_argument("--no-degrade", action="store_true", dest="no_degrade",
-                    help="error out instead of degrading to serial "
-                         "execution when retries are exhausted")
     rp.add_argument("--schemes", nargs="*", default=list(PAPER_SCHEMES),
                     help=f"subset of {list(ALL_SCHEMES)}")
 
@@ -274,11 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--engine", choices=("compiled", "dict"),
                     default="compiled",
                     help="simulation kernel (results are bit-identical)")
-    op.add_argument("--kernel-tier", dest="kernel_tier",
-                    choices=("auto", "legacy", "numpy", "jit"),
-                    default=None,
-                    help="batch-kernel tier for the compiled engine "
-                         "(results are bit-identical)")
     op.add_argument("--schemes", nargs="*", default=list(PAPER_SCHEMES),
                     help=f"subset of {list(ALL_SCHEMES)}")
 
@@ -393,9 +346,8 @@ def _print_cache_stats(context) -> None:
               + ")")
 
 
-def _print_kernel_stats(kernel_tier: Optional[str],
-                        context=None) -> None:
-    """--cache-stats: the resolved tier plus compile-side cache counters.
+def _print_kernel_stats(context=None) -> None:
+    """--cache-stats: the compile-side cache counters.
 
     The parent-process counters come first; when the context still has
     a live worker pool, each worker's program/tape/stacked counters are
@@ -405,7 +357,7 @@ def _print_kernel_stats(kernel_tier: Optional[str],
     are separate processes reached over sockets and are not probed.
     """
     from .sim.kernels import kernel_meta
-    meta = kernel_meta(kernel_tier)
+    meta = kernel_meta()
     parts = []
     for label in ("program_cache", "tape_cache", "stacked_cache"):
         stats = meta[label]
@@ -414,7 +366,7 @@ def _print_kernel_stats(kernel_tier: Optional[str],
         if "size" in stats:  # tapes live on their programs: no store
             part += f" size={stats['size']}"
         parts.append(part)
-    print(f"(kernel: tier={meta['tier']}; " + ", ".join(parts) + ")")
+    print("(kernel: " + ", ".join(parts) + ")")
     if context is None:
         return
     worker_stats = context.worker_kernel_stats()
@@ -479,28 +431,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.oracle:
             schemes.append("ORACLE")
         fig_fn = ALL_FIGURES[args.command]
-        # the pool serves whichever level is parallel (the two are
-        # mutually exclusive: point-level --jobs or run-level --n-jobs)
-        ctx_jobs = args.jobs if args.jobs != 1 else args.n_jobs
         # asking for the dispatch backend without --executors means
         # "use the fleet anyway": default the request to all cores
         executors = args.executors
         if args.backend == "dispatch" and executors is None \
                 and args.jobs == 1:
             executors = 0
-        with _make_context(ctx_jobs, args.no_cache, args.cache_dir,
+        with _make_context(args.jobs, args.no_cache, args.cache_dir,
                            backend=args.backend, executors=executors,
                            connect=args.connect) as ctx:
             fig_kwargs = dict(
                 n_runs=args.runs, schemes=schemes, n_jobs=args.jobs,
-                seed=args.seed, run_jobs=args.n_jobs,
-                runs_per_chunk=args.runs_per_chunk, engine=args.engine,
+                seed=args.seed, engine=args.engine,
                 max_retries=args.max_retries,
                 chunk_timeout=args.chunk_timeout,
                 degrade=not args.no_degrade,
                 backend=args.backend, executors=executors,
-                connect=args.connect, kernel_tier=args.kernel_tier,
-                shards=args.shards, shard_mem_mb=args.shard_mem_mb,
+                connect=args.connect, shards=args.shards,
+                shard_mem_mb=args.shard_mem_mb,
                 context=ctx, fused=not args.no_fused)
             if args.command == "fig_online":
                 fig_kwargs["arrival"] = args.arrival
@@ -515,7 +463,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit_figure(series, args.csv, chart=args.chart)
             _print_cache_stats(ctx)
             if args.cache_stats:
-                _print_kernel_stats(args.kernel_tier, context=ctx)
+                _print_kernel_stats(context=ctx)
         if args.save:
             from .experiments.persist import save_series
             save_series(series, args.save)
@@ -528,14 +476,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = RunConfig(schemes=tuple(args.schemes),
                         power_model=args.model,
                         n_processors=args.procs, n_runs=args.runs,
-                        seed=args.seed, n_jobs=args.n_jobs,
-                        runs_per_chunk=args.runs_per_chunk,
-                        engine=args.engine,
-                        max_retries=args.max_retries,
-                        chunk_timeout=args.chunk_timeout,
-                        degrade=not args.no_degrade,
-                        run_level_pool=(args.n_jobs != 1),
-                        kernel_tier=args.kernel_tier)
+                        seed=args.seed, engine=args.engine)
         if args.profile:
             result = _run_profiled(evaluate_application, app, cfg)
         else:
@@ -549,7 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{scheme:>8} {means[scheme]:>10.4f} "
                   f"{switches[scheme]:>10.1f}")
         if args.cache_stats:
-            _print_kernel_stats(args.kernel_tier)
+            _print_kernel_stats()
         return 0
 
     if args.command == "gantt":
@@ -612,8 +553,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = RunConfig(schemes=tuple(args.schemes),
                         power_model=args.model,
                         n_processors=args.procs, seed=args.seed,
-                        engine=args.engine,
-                        kernel_tier=args.kernel_tier)
+                        engine=args.engine)
         online = OnlineConfig(arrival=args.arrival, rate=args.rate,
                               horizon=args.horizon, load=args.load,
                               burstiness=args.burstiness,

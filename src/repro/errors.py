@@ -86,7 +86,7 @@ class ParallelError(ReproError):
     """A worker process failed during a parallel fan-out.
 
     Wraps the original exception together with the failing work item's
-    context (the sweep point or run-chunk arguments), so a crash inside
+    context (the sweep point or shard arguments), so a crash inside
     a process pool is attributable without digging through subprocess
     tracebacks.  The original exception is chained as ``__cause__``.
     """
@@ -100,15 +100,16 @@ class ParallelError(ReproError):
 
 
 class TransportError(ReproError):
-    """A worker could not receive its chunk over the fast transport.
+    """A result could not travel over the fast transport.
 
-    Raised worker-side when attaching the shared-memory realization
-    segment fails (segment gone, ``/dev/shm`` trouble, or an injected
-    fault).  The parent treats it as a *transport* problem, not a data
-    problem: the affected chunk is re-dispatched over the pickling
-    fallback transport while the rest of the sweep stays on shared
-    memory.  Deliberately a plain single-message exception so it
-    pickles cleanly across the process boundary.
+    Raised worker-side when attaching a shard's shared-memory result
+    block fails (segment gone, ``/dev/shm`` trouble, or an injected
+    fault); the worker then ships that shard's result pickled while the
+    rest of the sweep stays on shared memory.  A task that raises it
+    out of :meth:`~repro.experiments.engine.ExecutionContext.map` is
+    retried, since it describes how the work travelled, not the work.
+    Deliberately a plain single-message exception so it pickles cleanly
+    across the process boundary.
     """
 
 
@@ -132,6 +133,6 @@ class FaultInjected(ReproError):
     Only ever raised when a :class:`repro.experiments.faults.FaultPlan`
     is installed (chaos tests); production code never constructs it.
     Classified as *retryable* by the resilient executor, which is
-    exactly what makes it useful: it exercises the per-chunk retry path
+    exactly what makes it useful: it exercises the per-task retry path
     without killing a worker process.
     """

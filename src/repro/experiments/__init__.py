@@ -7,7 +7,7 @@
 * :mod:`~repro.experiments.report` — text/CSV rendering,
 * :mod:`~repro.experiments.parallel` — process-pool fan-out,
 * :mod:`~repro.experiments.engine` — persistent sweep-scale execution
-  (one worker pool + shared-memory transport + evaluation cache),
+  (one worker pool + shard result transport + evaluation cache),
 * :mod:`~repro.experiments.evalcache` — content-addressed on-disk
   cache of evaluation points (with corrupt-entry quarantine),
 * :mod:`~repro.experiments.faults` — deterministic fault injection

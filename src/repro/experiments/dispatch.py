@@ -853,9 +853,6 @@ def dispatch_points(context, apps: Sequence, configs: Sequence,
     dispatch backend is unreachable (no executor connected within the
     timeout) — the caller then falls back to the local fused/pooled
     path, which is the graceful-degradation contract.
-
-    Point configs are forced to ``n_jobs=1`` before shipping, exactly
-    like the pool backend: executors never nest pools.
     """
     if not apps:
         return []
@@ -865,9 +862,7 @@ def dispatch_points(context, apps: Sequence, configs: Sequence,
     server = context.dispatch_fleet(n_items=len(apps))
     if server is None:
         return None
-    shipped = [cfg.with_(n_jobs=1) if cfg.n_jobs != 1 else cfg
-               for cfg in configs]
-    return server.map_points(apps, shipped, list(labels), policy,
+    return server.map_points(apps, list(configs), list(labels), policy,
                              resilience=context.resilience,
                              stats=context.dispatch,
                              per_executor=context.dispatch_per_executor,

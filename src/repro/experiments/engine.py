@@ -1,35 +1,29 @@
 """Sweep-scale execution engine: one pool per sweep, not per point.
 
-PR 2/3 made a *single* evaluation point fast; the figure/suite layer
-still paid full setup cost at every one of its dozens of points — a
-fresh ``ProcessPoolExecutor`` (fork + import + initializer pickling)
-per point for run-level parallelism, re-pickled realization chunks, and
-full recomputation on every regeneration.  This module amortizes all
-three, one level up the stack:
+A figure or suite evaluates dozens of sweep points; paying a fresh
+``ProcessPoolExecutor`` (fork + import) and full recomputation at every
+one of them would dominate.  This module amortizes both, one level up
+the stack:
 
 * :class:`ExecutionContext` — a **persistent, reusable process pool**
   created lazily once per sweep/figure/suite and shared by the
   point-level fan-out (:mod:`repro.experiments.parallel`) and the
-  run-level chunking inside :func:`~repro.experiments.runner.
-  evaluate_application`.  Workers are long-lived, so their per-process
-  caches (the offline round-1 plan cache, the compiled section-program
-  cache keyed by plan fingerprint) persist across sweep points: each
-  program ships/compiles once per worker, not once per point.
-* **Zero-copy realization transport** — the parent samples the
-  ``(runs × tasks)`` realization matrix once and publishes it in a
-  :mod:`multiprocessing.shared_memory` segment; workers receive
-  ``(name, shape, dtype, row range)`` descriptors and map the matrix
-  as a NumPy view instead of unpickling per-chunk array copies.  When
-  shared memory is unavailable (or the matrix is empty) the transport
-  degrades to plain pickled chunks — values are identical either way.
+  sharded fused pass (:mod:`repro.experiments.fused`).  Workers are
+  long-lived, so their per-process caches (the offline canonical-stage
+  cache, the compiled section-program cache keyed by plan fingerprint)
+  persist across sweep points: each program compiles once per worker,
+  not once per point.
+* **Shard result transport** — a shard's packed result matrix travels
+  back through a parent-owned :mod:`multiprocessing.shared_memory`
+  block (:class:`ShardBlock`) when it is large, and pickled otherwise;
+  values are identical either way.
 * An optional **content-addressed evaluation cache**
   (:mod:`repro.experiments.evalcache`) attached to the context, so
   ``repro fig`` / ``repro suite`` regeneration is incremental.
 
 Everything here preserves the engine's core contract: results are
-**bit-identical** to sequential execution for every pool size, chunk
-size and transport (the realization batch is sampled once in the
-parent; workers only partition prebuilt work).
+**bit-identical** to sequential execution for every pool size and
+transport.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
@@ -134,8 +127,8 @@ class RetryPolicy:
     """How the resilient executor answers partial failure.
 
     Retryable failures — a worker crash (``BrokenProcessPool``), a
-    chunk that exceeds ``chunk_timeout``, a shared-memory attach
-    failure, an injected fault — are re-dispatched up to
+    task that exceeds ``chunk_timeout``, a transport failure, an
+    injected fault — are re-dispatched up to
     ``max_retries`` times per work item with bounded exponential
     backoff (``backoff_base * 2**attempt``, capped at ``backoff_max``).
     A broken pool is rebuilt at most ``max_pool_rebuilds`` times per
@@ -187,67 +180,8 @@ DISPATCH_COUNTERS = ("dispatched", "completed", "stolen", "duplicates",
 
 
 # ---------------------------------------------------------------------------
-# shared-memory realization transport
+# shard result transport (parent-owned segments)
 # ---------------------------------------------------------------------------
-
-class ShmChunk:
-    """Picklable descriptor of one run-range of a shared realization matrix.
-
-    The parent ships ``(segment name, full matrix shape, dtype, row
-    range)`` plus the small per-OR choice slices; the worker attaches
-    the segment once (cached across chunks and evaluations) and builds
-    a :class:`~repro.sim.realization.RealizationBatch` over a zero-copy
-    NumPy view of the rows.
-    """
-
-    __slots__ = ("shm_name", "shape", "dtype", "start", "stop", "names",
-                 "choices")
-
-    def __init__(self, shm_name: str, shape: Tuple[int, int], dtype: str,
-                 start: int, stop: int, names: List[str],
-                 choices: Dict[str, np.ndarray]):
-        self.shm_name = shm_name
-        self.shape = shape
-        self.dtype = dtype
-        self.start = start
-        self.stop = stop
-        self.names = names
-        self.choices = choices
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def resolve(self):
-        """Materialize the chunk as a batch over the shared matrix view.
-
-        Attach problems (segment gone, ``/dev/shm`` trouble, injected
-        fault) surface as :class:`~repro.errors.TransportError`; the
-        parent answers by re-dispatching *this chunk* over the pickling
-        fallback transport instead of abandoning the sweep.
-        """
-        from ..sim.realization import RealizationBatch
-        if faults.fire("shm-attach", key=self.start) == "raise":
-            raise TransportError(
-                f"injected shm attach failure for "
-                f"runs[{self.start}:{self.stop}]")
-        try:
-            seg = _attach_segment(self.shm_name)
-        except (OSError, ValueError) as exc:
-            raise TransportError(
-                f"could not attach shared segment {self.shm_name!r} for "
-                f"runs[{self.start}:{self.stop}]: {exc!r}") from exc
-        matrix = np.ndarray(self.shape, dtype=np.dtype(self.dtype),
-                            buffer=seg.buf)
-        return RealizationBatch(self.names, matrix[self.start:self.stop],
-                                self.choices)
-
-
-#: worker-side attached segments, keyed by name.  Bounded: a worker
-#: only ever needs the segment of the evaluation it is running plus at
-#: most one predecessor that is still being torn down.
-_ATTACHED: "OrderedDict[str, object]" = OrderedDict()
-_ATTACHED_MAX = 2
-
 
 def _open_segment(name: str):
     """Attach an existing segment without registering ownership."""
@@ -275,76 +209,6 @@ def _open_segment(name: str):
             resource_tracker.register = original_register
 
 
-def _attach_segment(name: str):
-    seg = _ATTACHED.get(name)
-    if seg is not None:
-        _ATTACHED.move_to_end(name)
-        return seg
-    seg = _open_segment(name)
-    _ATTACHED[name] = seg
-    while len(_ATTACHED) > _ATTACHED_MAX:
-        _, old = _ATTACHED.popitem(last=False)
-        try:
-            old.close()
-        except OSError:  # pragma: no cover - best-effort teardown
-            pass
-    return seg
-
-
-class SharedBatch:
-    """Parent-side owner of one realization matrix in shared memory.
-
-    Copies the batch's actual-time matrix into a fresh segment once;
-    :meth:`chunk` hands out :class:`ShmChunk` descriptors for row
-    ranges.  :meth:`close` releases and unlinks the segment (POSIX
-    semantics: workers still holding a mapping keep reading safely
-    until they drop it).
-    """
-
-    def __init__(self, batch):
-        actuals = np.ascontiguousarray(batch.actuals)
-        self._shm = _shared_memory.SharedMemory(create=True,
-                                                size=actuals.nbytes)
-        self.shape = actuals.shape
-        self.dtype = actuals.dtype.str
-        view = np.ndarray(self.shape, dtype=actuals.dtype,
-                          buffer=self._shm.buf)
-        view[:] = actuals
-        self.names = list(batch.names)
-        self.choices = batch.choices
-
-    def chunk(self, start: int, stop: int) -> ShmChunk:
-        return ShmChunk(self._shm.name, self.shape, self.dtype, start, stop,
-                        self.names,
-                        {k: v[start:stop] for k, v in self.choices.items()})
-
-    def close(self) -> None:
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-
-def share_batch(batch) -> Optional[SharedBatch]:
-    """Publish a realization batch in shared memory, or ``None``.
-
-    Returns ``None`` — meaning "fall back to pickled chunks" — when the
-    platform has no shared memory, the matrix is empty, or segment
-    creation fails at runtime (e.g. ``/dev/shm`` exhausted).
-    """
-    if not _SHM_AVAILABLE or batch.actuals.nbytes == 0:
-        return None
-    try:
-        return SharedBatch(batch)
-    except OSError:  # pragma: no cover - depends on host state
-        return None
-
-
-# ---------------------------------------------------------------------------
-# shard result transport (parent-owned segments)
-# ---------------------------------------------------------------------------
-
 #: shard result matrices at least this large travel back from local
 #: pool workers through a shared-memory segment instead of the result
 #: pickle; below it the pickling cost is already negligible.  Module
@@ -355,10 +219,10 @@ SHARD_SHM_MIN_BYTES = 1 << 20
 class ShardBlock:
     """A parent-owned shared-memory segment for one shard's result matrix.
 
-    The same ownership rule as :class:`SharedBatch`: exactly one side,
-    the parent, owns every segment.  :meth:`allocate` creates it before
-    dispatch (registered with the parent's resource tracker, so even a
-    crashed parent leaves nothing in ``/dev/shm``); the descriptor
+    Exactly one side, the parent, owns every segment.
+    :meth:`allocate` creates it before dispatch (registered with the
+    parent's resource tracker, so even a crashed parent leaves nothing
+    in ``/dev/shm``); the descriptor
     travels inside the shard task; the worker attaches untracked and
     writes the packed matrix (:meth:`publish`); the parent copies it out
     and unlinks the segment (:meth:`take`).  Blocks whose result never
@@ -401,13 +265,19 @@ class ShardBlock:
             return None
         return cls(seg.name, tuple(shape), dtype, seg)
 
-    def publish(self, matrix: np.ndarray) -> None:
+    def publish(self, matrix: np.ndarray, key: int) -> None:
         """Write ``matrix`` into the block (worker side).
 
         Raises :class:`~repro.errors.TransportError` when the segment is
-        gone (already released) or the shape disagrees; the worker then
-        ships the matrix pickled — same values either way.
+        gone (already released), the shape disagrees, or the
+        ``shm-attach`` fault site (keyed by ``key``, the shard index)
+        raises; the worker then ships the matrix pickled — same values
+        either way.
         """
+        if faults.fire("shm-attach", key=key) == "raise":
+            raise TransportError(
+                f"injected shm attach failure for shard result block "
+                f"{self.name!r}")
         if matrix.shape != self.shape or matrix.dtype.str != self.dtype:
             raise TransportError(
                 f"shard result {matrix.shape}/{matrix.dtype.str} does not "
@@ -446,68 +316,6 @@ class ShardBlock:
         if seg is not None:
             seg.close()
             seg.unlink()
-
-
-# ---------------------------------------------------------------------------
-# worker-side evaluation setup cache (run-level chunk tasks)
-# ---------------------------------------------------------------------------
-
-#: per-worker prepared evaluation contexts, keyed by setup fingerprint:
-#: ``(plan_dyn, plan_static, scheme_names, power, overhead, engine)``.
-#: Long-lived workers keep the plans and their compiled section
-#: programs across every chunk — and, thanks to the fingerprint key,
-#: across repeated evaluations of the same point.
-_SETUP_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
-_SETUP_CACHE_MAX = 8
-
-
-def _prepared_setup(setup_key: str, app, config):
-    setup = _SETUP_CACHE.get(setup_key)
-    if setup is not None:
-        _SETUP_CACHE.move_to_end(setup_key)
-        return setup
-    from ..core.registry import get_policy
-    from ..sim.compiled import compile_plan
-    from .runner import build_plans
-    power = config.make_power()
-    plan_dyn, plan_static = build_plans(app, config, power)
-    scheme_names = tuple(get_policy(name).name for name in config.schemes)
-    if config.engine == "compiled":
-        compile_plan(plan_static)
-        if plan_dyn is not None:
-            compile_plan(plan_dyn)
-    setup = (plan_dyn, plan_static, scheme_names, power, config.overhead,
-             config.engine)
-    _SETUP_CACHE[setup_key] = setup
-    while len(_SETUP_CACHE) > _SETUP_CACHE_MAX:
-        _SETUP_CACHE.popitem(last=False)
-    return setup
-
-
-def _eval_chunk_task(setup_key: str, app, config, start: int, chunk):
-    """Worker task: simulate one run-range, tagged with its offset.
-
-    ``chunk`` is either a :class:`ShmChunk` descriptor (zero-copy
-    transport) or a pickled realization-batch slice (fallback); the
-    plans are rebuilt deterministically from ``(app, config)`` on the
-    first chunk of an evaluation and served from the worker's setup
-    cache afterwards.
-    """
-    from .runner import _simulate_runs, _simulate_runs_compiled
-    if faults.fire("worker-chunk", key=start) == "raise":
-        raise FaultInjected(f"injected worker fault at runs[{start}:...]")
-    plan_dyn, plan_static, scheme_names, power, overhead, engine = \
-        _prepared_setup(setup_key, app, config)
-    if isinstance(chunk, ShmChunk):
-        chunk = chunk.resolve()
-    if engine == "compiled":
-        npm, absolute, _finish, changes, keys = _simulate_runs_compiled(
-            plan_dyn, plan_static, scheme_names, power, overhead, chunk,
-            kernel_tier=config.kernel_tier)
-    else:
-        npm, absolute, _finish, changes, keys = _simulate_runs(
-            plan_dyn, plan_static, scheme_names, power, overhead, chunk)
-    return start, npm, absolute, changes, keys
 
 
 def _kernel_probe_task(scratch: str, want: int, deadline_s: float):
@@ -555,13 +363,13 @@ class ExecutionContext:
         evaluation points are looked up before computing and stored
         after.
     shared_memory:
-        Whether run-level chunk tasks ship realization rows through
-        shared memory (default) or pickled slices.  Purely transport —
-        results are bit-identical.
+        Whether large shard results travel back through shared-memory
+        blocks (default) or pickled.  Purely transport — results are
+        bit-identical.
     policy:
         Default :class:`RetryPolicy` for :meth:`map` calls that do not
-        pass their own (``evaluate_application`` derives a per-call
-        policy from its :class:`~repro.experiments.runner.RunConfig`).
+        pass their own (sweeps derive a per-call policy from their
+        :class:`~repro.experiments.runner.RunConfig`).
     backend:
         Where sweep points execute: ``"local"`` (fused/pooled,
         in-process) or ``"dispatch"`` (the executor fleet of
@@ -696,13 +504,7 @@ class ExecutionContext:
         return self._fleet
 
     def has_live_pool(self) -> bool:
-        """Whether a worker pool already exists and the context is open.
-
-        ``evaluate_application`` consults this to decide whether the
-        ``parallel_min_runs`` cold-start threshold applies: a live pool
-        has already paid its startup cost, so even a small opted-in
-        batch may as well use it.
-        """
+        """Whether a worker pool already exists and the context is open."""
         return self._pool is not None and not self._closed
 
     def pool(self) -> ProcessPoolExecutor:
@@ -741,8 +543,7 @@ class ExecutionContext:
     # -- execution ----------------------------------------------------------
     def map(self, fn: Callable, args_list: Sequence[Tuple],
             labels: Optional[Sequence[str]] = None,
-            policy: Optional[RetryPolicy] = None,
-            fallback_args: Optional[Sequence[Tuple]] = None) -> List:
+            policy: Optional[RetryPolicy] = None) -> List:
         """Run ``fn(*args)`` for every args tuple on the pool, in order.
 
         Resilient under partial failure (see :class:`RetryPolicy`, or
@@ -755,9 +556,8 @@ class ExecutionContext:
         * a **hung item** — one exceeding ``policy.chunk_timeout``
           seconds per attempt — is re-dispatched to another worker
           (the straggler's eventual result is discarded);
-        * a worker-side :class:`~repro.errors.TransportError` switches
-          *that item* to its entry in ``fallback_args`` (the pickled
-          chunk) without burning a retry;
+        * a worker-side :class:`~repro.errors.TransportError` or
+          injected fault burns one retry for that item;
         * retry budgets exhausted → the item (or, after the rebuild
           budget, the whole remainder) is computed serially in the
           parent with a warning, or raises :class:`ParallelError` when
@@ -772,12 +572,10 @@ class ExecutionContext:
             labels = [f"args={args!r}" for args in args_list]
         policy = policy if policy is not None else self.policy
         n = len(args_list)
-        current: List[Tuple] = list(args_list)
         futures: List = [None] * n
         results: List = [None] * n
         done = [False] * n
         attempts = [0] * n
-        on_fallback = [False] * n
         timeout = policy.chunk_timeout if policy.chunk_timeout > 0 else None
         rebuilds_left = policy.max_pool_rebuilds
         serial = False
@@ -794,7 +592,7 @@ class ExecutionContext:
                 f"({type(cause).__name__}: {cause}); computing it "
                 f"serially in the parent", RuntimeWarning, stacklevel=3)
             try:
-                return fn(*current[j])
+                return fn(*args_list[j])
             except Exception as exc:
                 raise ParallelError(labels[j], exc) from exc
 
@@ -815,7 +613,7 @@ class ExecutionContext:
             pool = self.pool()
             for j in range(n):
                 if not done[j] and futures[j] is None:
-                    futures[j] = pool.submit(fn, *current[j])
+                    futures[j] = pool.submit(fn, *args_list[j])
 
         i = 0
         while i < n:
@@ -824,7 +622,7 @@ class ExecutionContext:
                 continue
             if serial:
                 try:
-                    results[i] = fn(*current[i])
+                    results[i] = fn(*args_list[i])
                 except Exception as exc:
                     raise ParallelError(labels[i], exc) from exc
                 done[i] = True
@@ -835,20 +633,10 @@ class ExecutionContext:
                 results[i] = futures[i].result(timeout=timeout)
                 done[i] = True
                 i += 1
-            except TransportError as exc:
-                if fallback_args is not None and not on_fallback[i]:
-                    # shared memory failed this worker: pickle this one
-                    # chunk; the rest of the sweep stays zero-copy
-                    self.resilience["shm_fallbacks"] += 1
-                    on_fallback[i] = True
-                    current[i] = fallback_args[i]
-                    futures[i] = None
-                else:
-                    _retry(i, exc)
             except FuturesTimeoutError as exc:
                 self.resilience["timeouts"] += 1
                 _retry(i, exc)
-            except FaultInjected as exc:
+            except (TransportError, FaultInjected) as exc:
                 _retry(i, exc)
             except BrokenExecutor as exc:
                 # the whole pool died: keep what finished, drop the rest

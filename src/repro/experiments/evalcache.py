@@ -3,7 +3,7 @@
 A sweep point is fully determined by *what* is evaluated — the
 application (graph + deadline) and the result-relevant
 :class:`~repro.experiments.runner.RunConfig` fields — never by *how*
-(worker counts, chunk sizes, transports are all bit-identical by
+(worker counts, shard counts, transports are all bit-identical by
 contract).  That makes evaluation results safely content-addressable:
 
 ``key = sha256(graph fingerprint, deadline, app name,
@@ -56,8 +56,9 @@ CACHE_FORMAT = 1
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: RunConfig fields that determine evaluation *results*.  Execution
-#: knobs (n_jobs, runs_per_chunk, parallel_min_runs) are excluded by
-#: design: they are bit-identical by contract and must share entries.
+#: knobs (retry policy, backend, executors, connect, shards,
+#: shard_mem_mb) are excluded by design: they are bit-identical by
+#: contract and must share entries.
 #: ``engine`` is included although engines are bit-identical too —
 #: being conservative there keeps the cache trustworthy while engines
 #: evolve.
@@ -94,26 +95,6 @@ def evaluation_key(app: Application, config) -> str:
         "deadline": repr(float(app.deadline)),
         "app": app.name,
         "config": config_payload(config),
-    })
-
-
-def plan_setup_key(app: Application, config) -> str:
-    """Fingerprint of the prepared per-evaluation worker state.
-
-    Everything a worker builds once per evaluation — plans, compiled
-    programs, policies, power/overhead models — depends on the graph,
-    the deadline and the config *except* the Monte-Carlo draw
-    (``n_runs``/``seed``/``sigma_fraction``), so repeated evaluations
-    of one point reuse the worker's prepared setup across calls.
-    """
-    payload = config_payload(config)
-    for draw_field in ("n_runs", "seed", "sigma_fraction"):
-        payload.pop(draw_field, None)
-    return _digest({
-        "salt": CACHE_SALT,
-        "graph": graph_fingerprint(app.graph),
-        "deadline": repr(float(app.deadline)),
-        "config": payload,
     })
 
 

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the execution engine.
 
-The resilience layer (per-chunk retry, pool rebuild, transport
+The resilience layer (per-task retry, pool rebuild, transport
 fallback, cache quarantine) is only trustworthy if every recovery path
 can be *driven* on demand and proven bit-identical to the fault-free
 run.  This module provides that driver: a :class:`FaultPlan` of
@@ -10,16 +10,17 @@ sites), that crashes, hangs, raises or corrupts at named **fault
 sites**:
 
 ``worker-chunk``
-    Start of every worker task (a run-chunk simulation or a whole
-    sweep-point evaluation).  Actions: ``crash`` (``os._exit`` — the
-    pool breaks with :class:`~concurrent.futures.process.
-    BrokenProcessPool`), ``hang`` (sleep ``hang_seconds``, then
-    continue), ``raise`` (:class:`~repro.errors.FaultInjected`).
+    Start of every pooled sweep-point evaluation, keyed by the point
+    index.  Actions: ``crash`` (``os._exit`` — the pool breaks with
+    :class:`~concurrent.futures.process.BrokenProcessPool`), ``hang``
+    (sleep ``hang_seconds``, then continue), ``raise``
+    (:class:`~repro.errors.FaultInjected`).
 ``shm-attach``
-    Shared-memory segment attach inside
-    :meth:`~repro.experiments.engine.ShmChunk.resolve`.  Action:
-    ``raise`` (surfaces as :class:`~repro.errors.TransportError`, which
-    the parent answers with a per-chunk pickling fallback).
+    A worker's attach of a shard result block in
+    :meth:`~repro.experiments.engine.ShardBlock.publish`, keyed by the
+    shard index.  Action: ``raise`` (surfaces as
+    :class:`~repro.errors.TransportError`; the worker ships that
+    shard's result pickled instead, counted in ``shm_fallbacks``).
 ``cache-read``
     Evaluation-cache lookup in the parent.  Action: ``corrupt``
     (truncates the on-disk entry before it is read, simulating a torn
@@ -56,14 +57,14 @@ Determinism and replay: a spec fires on the Nth occurrence of its site
 in a process (``occurrence``), or whenever the call site's ``key``
 matches (``key``), and at most ``times`` times *globally* — global
 one-shot bookkeeping uses ``O_CREAT | O_EXCL`` marker files in the
-plan's ``scratch`` directory, so a chunk whose worker crashed is not
+plan's ``scratch`` directory, so a task whose worker crashed is not
 crashed again on re-dispatch.  :meth:`FaultPlan.random` derives a whole
 plan from one integer seed; a chaos test that fails prints that seed,
 and rebuilding the plan from it replays the exact fault schedule.
 
 The hot path stays free: with no plan installed, :func:`fire` is a
 module-global ``None`` check and an immediate return — no allocation,
-no locking — so production sweeps pay one predicate per chunk.
+no locking — so production sweeps pay one predicate per task.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class FaultSpec:
 
     ``occurrence`` counts calls at ``site`` within one process (1-based)
     and is ignored when ``key`` is given; ``key`` matches the identity
-    the call site passes to :func:`fire` (a chunk's run offset, a sweep
+    the call site passes to :func:`fire` (a shard index, a sweep
     point's index, a cache key prefix).  ``times`` caps total firings
     across every process sharing the plan's scratch directory.
     """
@@ -268,7 +269,7 @@ def install(plan: Optional[FaultPlan]) -> None:
     """Activate ``plan`` in this process (pool-initializer compatible).
 
     Resets the per-process occurrence counters, so a fresh worker
-    starts counting from its own first chunk.
+    starts counting from its own first task.
     """
     global _PLAN
     _PLAN = plan

@@ -45,26 +45,19 @@ FIG6_LOAD = 0.9
 
 def _fig_config(n_runs: int, n_processors: int, power_model: str,
                 schemes: Sequence[str], seed: int,
-                run_jobs: int = 1, runs_per_chunk: int = 0,
                 engine: str = "compiled", max_retries: int = 2,
                 chunk_timeout: float = 0.0,
                 degrade: bool = True,
                 backend: Optional[str] = None,
                 executors: Optional[int] = None,
                 connect: Optional[str] = None,
-                kernel_tier: Optional[str] = None,
                 shards: Optional[int] = None,
                 shard_mem_mb: int = 0) -> RunConfig:
-    # asking for run-level workers is the explicit opt-in to the legacy
-    # chunked pool — the default path fuses the sweep with no pool
     return RunConfig(schemes=tuple(schemes), power_model=power_model,
                      n_processors=n_processors, n_runs=n_runs, seed=seed,
-                     n_jobs=run_jobs, runs_per_chunk=runs_per_chunk,
                      engine=engine, max_retries=max_retries,
                      chunk_timeout=chunk_timeout, degrade=degrade,
-                     run_level_pool=(run_jobs != 1),
                      backend=backend, executors=executors, connect=connect,
-                     kernel_tier=kernel_tier,
                      shards=shards, shard_mem_mb=shard_mem_mb)
 
 
@@ -73,8 +66,6 @@ def figure4(n_runs: int = 1000,
             schemes: Sequence[str] = PAPER_SCHEMES,
             n_jobs: int = 1, seed: int = 2002,
             alpha: float = ATR_ALPHA,
-            run_jobs: int = 1,
-            runs_per_chunk: int = 0,
             engine: str = "compiled",
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
@@ -82,7 +73,6 @@ def figure4(n_runs: int = 1000,
             backend: Optional[str] = None,
             executors: Optional[int] = None,
             connect: Optional[str] = None,
-            kernel_tier: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -90,9 +80,7 @@ def figure4(n_runs: int = 1000,
 
     The default execution fuses each sub-figure's whole load sweep into
     one array program (``fused=True``).  ``n_jobs`` parallelizes across
-    sweep points when fusion is off; ``run_jobs`` (and
-    ``runs_per_chunk``) opt into the legacy run-level pool inside each
-    point instead.  ``context`` (an
+    sweep points when fusion is off.  ``context`` (an
     :class:`~repro.experiments.engine.ExecutionContext`) shares one
     worker pool and evaluation cache across both sub-figures — and
     across figures, if the caller passes the same context to each.
@@ -101,10 +89,9 @@ def figure4(n_runs: int = 1000,
     graph = atr_graph(AtrConfig(alpha=alpha))
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
-                          shards, shard_mem_mb)
+                          engine, max_retries, chunk_timeout, degrade,
+                          backend, executors, connect, shards,
+                          shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
                                 name=f"figure4-{model}", context=context,
                                 fused=fused)
@@ -116,8 +103,6 @@ def figure5(n_runs: int = 1000,
             schemes: Sequence[str] = PAPER_SCHEMES,
             n_jobs: int = 1, seed: int = 2002,
             alpha: float = ATR_ALPHA,
-            run_jobs: int = 1,
-            runs_per_chunk: int = 0,
             engine: str = "compiled",
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
@@ -125,7 +110,6 @@ def figure5(n_runs: int = 1000,
             backend: Optional[str] = None,
             executors: Optional[int] = None,
             connect: Optional[str] = None,
-            kernel_tier: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -142,10 +126,9 @@ def figure5(n_runs: int = 1000,
     graph = atr_graph(cfg_atr)
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 6, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
-                          shards, shard_mem_mb)
+                          engine, max_retries, chunk_timeout, degrade,
+                          backend, executors, connect, shards,
+                          shard_mem_mb)
         out[model] = sweep_load(graph, cfg, loads, n_jobs=n_jobs,
                                 name=f"figure5-{model}", context=context,
                                 fused=fused)
@@ -157,8 +140,6 @@ def figure6(n_runs: int = 1000,
             schemes: Sequence[str] = PAPER_SCHEMES,
             n_jobs: int = 1, seed: int = 2002,
             load: float = FIG6_LOAD,
-            run_jobs: int = 1,
-            runs_per_chunk: int = 0,
             engine: str = "compiled",
             max_retries: int = 2,
             chunk_timeout: float = 0.0,
@@ -166,7 +147,6 @@ def figure6(n_runs: int = 1000,
             backend: Optional[str] = None,
             executors: Optional[int] = None,
             connect: Optional[str] = None,
-            kernel_tier: Optional[str] = None,
             shards: Optional[int] = None,
             shard_mem_mb: int = 0,
             context=None, fused: bool = True) -> Dict[str, SeriesResult]:
@@ -178,10 +158,9 @@ def figure6(n_runs: int = 1000,
     out: Dict[str, SeriesResult] = {}
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
-                          shards, shard_mem_mb)
+                          engine, max_retries, chunk_timeout, degrade,
+                          backend, executors, connect, shards,
+                          shard_mem_mb)
         out[model] = sweep_alpha(figure3_graph, cfg, load, alphas,
                                  n_jobs=n_jobs, name=f"figure6-{model}",
                                  context=context, fused=fused)
@@ -194,8 +173,6 @@ def fig_online(n_runs: int = 1000,
                n_jobs: int = 1, seed: int = 2002,
                load: float = ONLINE_LOAD,
                arrival: str = "poisson",
-               run_jobs: int = 1,
-               runs_per_chunk: int = 0,
                engine: str = "compiled",
                max_retries: int = 2,
                chunk_timeout: float = 0.0,
@@ -203,8 +180,7 @@ def fig_online(n_runs: int = 1000,
                backend: Optional[str] = None,
                executors: Optional[int] = None,
                connect: Optional[str] = None,
-               kernel_tier: Optional[str] = None,
-               shards: Optional[int] = None,
+                  shards: Optional[int] = None,
                shard_mem_mb: int = 0,
                context=None, fused: bool = True) -> Dict[str, SeriesResult]:
     """Energy and deadline-miss ratio vs sporadic arrival rate (online).
@@ -224,10 +200,9 @@ def fig_online(n_runs: int = 1000,
                           target_arrivals=n_runs)
     for model in PAPER_POWER_MODELS:
         cfg = _fig_config(n_runs, 2, model, schemes, seed,
-                          run_jobs, runs_per_chunk, engine,
-                          max_retries, chunk_timeout, degrade,
-                          backend, executors, connect, kernel_tier,
-                          shards, shard_mem_mb)
+                          engine, max_retries, chunk_timeout, degrade,
+                          backend, executors, connect, shards,
+                          shard_mem_mb)
         out[model] = sweep_arrival_rate(figure3_graph(), cfg, online,
                                         rates, n_jobs=n_jobs,
                                         name=f"fig-online-{model}",

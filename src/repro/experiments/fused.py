@@ -1,10 +1,9 @@
 """Fused sweep evaluation: one array program over ``points × runs``.
 
-``BENCH_engine.json`` recorded the motivating regression: with the
-compiled kernels a Monte-Carlo run costs tens of microseconds, so
-process-pool chunking of runs *within* one point is ~9× slower than
-serial — the pool's transport and scheduling dominate.  The profitable
-axis is the opposite one: amortize the *per-point* kernel invocations.
+With the compiled kernels a Monte-Carlo run costs tens of microseconds,
+so what a sweep pays per point is mostly fixed per-call kernel work.
+The profitable axis is the point axis: amortize the *per-point* kernel
+invocations.
 
 :func:`evaluate_points_fused` takes a whole sweep (several applications,
 one config each), stacks their compiled section programs into one
@@ -141,18 +140,17 @@ class _FusedBuild:
     2-vCPU x86-64 host with Python 3.11.
     """
 
-    __slots__ = ("base", "power", "overhead", "scheme_names", "tier",
-                 "plans", "static_plans", "static_progs", "stacked_static",
+    __slots__ = ("base", "power", "overhead", "scheme_names", "plans",
+                 "static_plans", "static_progs", "stacked_static",
                  "dyn_points", "dyn_plans", "dyn_progs", "stacked_dyn")
 
-    def __init__(self, base, power, overhead, scheme_names, tier, plans,
+    def __init__(self, base, power, overhead, scheme_names, plans,
                  static_plans, static_progs, stacked_static, dyn_points,
                  dyn_plans, dyn_progs, stacked_dyn):
         self.base = base
         self.power = power
         self.overhead = overhead
         self.scheme_names = scheme_names
-        self.tier = tier
         self.plans = plans
         self.static_plans = static_plans
         self.static_progs = static_progs
@@ -196,11 +194,6 @@ def _build_fused(apps: Sequence[Application],
     power = base.make_power()
     overhead = base.overhead
     scheme_names = tuple(get_policy(n).name for n in base.schemes)
-    # resolved once so every kernel call of the sweep uses one tier
-    # (kernel_tier is an execution knob: not fusability-gated, not part
-    # of the evaluation-cache key)
-    from ..sim.kernels import resolve_kernel_tier
-    tier = resolve_kernel_tier(base.kernel_tier)
 
     plans = []
     static_progs = []
@@ -225,7 +218,7 @@ def _build_fused(apps: Sequence[Application],
         stacked_dyn = stack_programs(dyn_progs)
         if stacked_dyn is None:
             return None
-    return _FusedBuild(base, power, overhead, scheme_names, tier, plans,
+    return _FusedBuild(base, power, overhead, scheme_names, plans,
                        static_plans, static_progs, stacked_static,
                        dyn_points, dyn_plans, dyn_progs, stacked_dyn)
 
@@ -258,7 +251,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
     sweep to per-point evaluation.
     """
     n_points = len(configs)
-    power, overhead, tier = build.power, build.overhead, build.tier
+    power, overhead = build.power, build.overhead
     scheme_names = build.scheme_names
     static_plans = build.static_plans
     static_progs = build.static_progs
@@ -336,7 +329,7 @@ def _compute_fused(build: _FusedBuild, configs: Sequence[RunConfig],
         kernel = run_fixed_batch if kind == "fixed" else run_dynamic_batch
         results = kernel(view.prog, power, overhead, view.matrix,
                          view.groups, view.keys, specs,
-                         point_of=view.point_of, kernel_tier=tier)
+                         point_of=view.point_of)
         for (name, _run), res in zip(specs, results):
             chg = np.asarray(res.n_speed_changes, dtype=float)
             if kind == "fixed":
@@ -487,7 +480,7 @@ def run_shard(task: ShardTask) -> ShardResult:
                          task.hi, npm, absolute, changes)
     if task.block is not None:
         try:
-            task.block.publish(matrix)
+            task.block.publish(matrix, key=task.index)
         except TransportError:
             pass  # released or mismatched: ship the matrix pickled
         else:
@@ -601,7 +594,7 @@ def _run_sharded(build: _FusedBuild, apps: Sequence[Application],
                 and ctx.dispatch_jobs(n_items=len(tasks)) >= 2:
             from .dispatch import dispatch_points
             results = dispatch_points(
-                ctx, tasks, [base.with_(n_jobs=1)] * len(tasks),
+                ctx, tasks, [base] * len(tasks),
                 labels=labels, policy=policy)
             if results is None:
                 return None  # fleet unreachable: monolithic fallback

@@ -305,7 +305,7 @@ def _admit_stream(times: np.ndarray, t_worst: float, t_avg: float,
 def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
               scheme_names: Sequence[str], power: PowerModel,
               overhead: OverheadModel, batch: RealizationBatch,
-              engine: str, kernel_tier: Optional[str]):
+              engine: str):
     """Per-job energies, durations and switch counts for every scheme.
 
     The offline evaluator's own simulation helpers —
@@ -321,8 +321,7 @@ def _run_jobs(plan_dyn: Optional[OfflinePlan], plan_static: OfflinePlan,
         return _simulate_runs(plan_dyn, plan_static, scheme_names, power,
                               overhead, batch)
     return _simulate_runs_compiled(plan_dyn, plan_static, scheme_names,
-                                   power, overhead, batch,
-                                   kernel_tier=kernel_tier)
+                                   power, overhead, batch)
 
 
 def _replay_fifo(arrivals: np.ndarray, durations: np.ndarray,
@@ -347,7 +346,7 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
     fixes the arrival instants (via the derived arrival stream) and
     the realizations (via ``default_rng(seed)``, the offline
     evaluator's stream) — repeated calls are bit-identical on every
-    backend and kernel tier.
+    backend.
     """
     m = config.n_processors
     t_worst = worst_case_length(graph, m)
@@ -386,7 +385,7 @@ def simulate_online(graph: AndOrGraph, config: RunConfig,
                                      sigma_fraction=config.sigma_fraction)
     npm_energy, absolute, finish, changes, path_keys = _run_jobs(
         plan_dyn, plan_static, scheme_names, power, config.overhead, batch,
-        config.engine, config.kernel_tier)
+        config.engine)
 
     result.npm_energy = npm_energy
     result.path_keys = path_keys
@@ -444,7 +443,7 @@ def sweep_arrival_rate(graph: AndOrGraph, config: RunConfig,
                           meta={"app": graph.name,
                                 "power_model": config.power_model,
                                 "n_processors": config.n_processors,
-                                "kernel": kernel_meta(config.kernel_tier)})
+                                "kernel": kernel_meta()})
     series.meta["speed_changes"] = []
     for r, res in zip(rates, results):
         x = float(r)

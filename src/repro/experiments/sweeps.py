@@ -11,10 +11,9 @@ across several sweeps instead of paying pool spin-up per sweep.  When a
 cache is attached, the sweep's hit/miss counts land in
 ``series.meta["cache"]``.
 
-Every sweep also records the resolved kernel tier and the compile-side
-cache counters (program / tape / stacked caches) in
-``series.meta["kernel"]`` so a regenerated figure states how it was
-computed.
+Every sweep also records the compile-side cache counters (program /
+tape / stacked caches) in ``series.meta["kernel"]`` so a regenerated
+figure states how it was computed.
 """
 
 from __future__ import annotations
@@ -120,10 +119,7 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
     no pool at all (``fused=True``; see
     :mod:`repro.experiments.fused`).  ``n_jobs`` fans the sweep
     *points* out over processes when fusion does not apply (or is
-    turned off); ``config.n_jobs`` parallelizes the Monte-Carlo *runs*
-    inside each point only when ``config.run_level_pool`` opts into the
-    legacy chunked path.  The point-level pool forces run-level
-    ``n_jobs=1`` in its workers, so the two levels never nest.
+    turned off).
     """
     before = _cache_before(context)
     results = map_load_points(graph, list(loads), config, n_jobs=n_jobs,
@@ -134,8 +130,7 @@ def sweep_load(graph: AndOrGraph, config: RunConfig,
                                           "power_model": config.power_model,
                                           "n_processors": config.n_processors,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)})))
+                                          "kernel": kernel_meta()})))
 
 
 def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
@@ -166,8 +161,7 @@ def sweep_alpha(graph_factory: Callable[[float], AndOrGraph],
                                           "power_model": config.power_model,
                                           "n_processors": config.n_processors,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)})))
+                                          "kernel": kernel_meta()})))
 
 
 def sweep_processors(graph_builder: Callable[[], AndOrGraph],
@@ -200,8 +194,7 @@ def sweep_processors(graph_builder: Callable[[], AndOrGraph],
                                          {"load": load,
                                           "power_model": config.power_model,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)}))
+                                          "kernel": kernel_meta()}))
 
 
 def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
@@ -234,5 +227,4 @@ def sweep_overhead(graph: AndOrGraph, config: RunConfig, load: float,
                                          {"load": load, "app": graph.name,
                                           "power_model": config.power_model,
                                           "n_runs": config.n_runs,
-                                          "kernel": kernel_meta(
-                                              config.kernel_tier)}))
+                                          "kernel": kernel_meta()}))

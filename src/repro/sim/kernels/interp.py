@@ -1,4 +1,4 @@
-"""The ``numpy`` kernel tier: batch kernels over the lowered tape.
+"""The batch simulation kernels: one walk over the lowered tape.
 
 The kernels walk the **prefix trie** of a call's executed paths.  Every
 path starts at the root section and forks only at OR nodes, where all
@@ -39,37 +39,38 @@ indices.  Predecessor readiness is a row gather and ``max`` over the
 section's finish buffer, and a stacked section's per-point constants
 are gathered for every entry at once.
 
-Bit-identity with the legacy tier holds operation by operation:
+Bit-identity with the dict engine (:func:`repro.sim.engine.simulate`)
+holds operation by operation:
 
 * every (scheme, run) quantity sees the same float operations in the
   same order — a shared prefix computes, for each of its runs and
   schemes, exactly what simulating that run's path under that scheme
   on its own computes, and broadcasting a scalar or a per-run column
   over the scheme axis changes no float;
-* ``max(a, max(b, c))`` equals the legacy fold ``maximum(maximum(...))``
-  exactly — max is associative and exact on floats — and the section's
-  end time is the same left fold over the finish buffer's rows;
+* a readiness ``max`` over several predecessors equals the engine's
+  running maximum exactly — max is associative and exact on floats —
+  and the section's end time is the same fold over the finish
+  buffer's rows;
 * the lowest-id idle processor's free time *is* the column minimum, so
   no gather is needed;
-* the per-entry constant is the same float whether read from the tape
-  lane, the Python tuple, or a broadcast row of ``c_pt``;
+* the per-entry constant is the same float whether read from the
+  Python tuple or a broadcast row of ``c_pt``;
 * the fixed kernel batches ``actual / speed`` and the busy-energy
   product per section (identical elementwise operations, consumed row
   by row in entry order).
 
-Error classes and messages match the legacy kernels.  The WCET check
+Error classes and messages match the scalar kernel's.  The WCET check
 runs once per call, ahead of the walks, in path-group order: one
 column-max comparison against the tape's smallest per-column guard
 clears the common case, and otherwise each group re-scans its path
-section by section, so the raised error is the legacy selection (first
-group, first entry in path order with a violating run, first violating
-run of the group).  Guarantee, deadline and negative-idle errors name
-the first failing run in *trie order* — guarantee errors at the first
-section of the depth-first walk that violates — where the legacy loop
-names the first failing run in path-group order.  A walk of several
-schemes that raises is replayed one scheme at a time, so the error is
-the one a per-scheme loop raises: the first failing scheme's, in the
-order the caller listed them.  Realization sampling clamps actuals to
+section by section, so the raised error names the first group, the
+first entry in path order with a violating run, and the first
+violating run of that group.  Guarantee, deadline and negative-idle
+errors name the first failing run in *trie order* — guarantee errors
+at the first section of the depth-first walk that violates.  A walk of
+several schemes that raises is replayed one scheme at a time, so the
+error is the one a per-scheme loop raises: the first failing scheme's,
+in the order the caller listed them.  Realization sampling clamps actuals to
 WCET and the offline plans guarantee feasibility, so these paths fire
 only on doctored batches.
 """
@@ -84,12 +85,7 @@ import numpy as np
 from ...errors import DeadlineMissError, SimulationError
 from ...power.model import PowerModel
 from ...power.overhead import OverheadModel
-from ..compiled import (
-    _EPS,
-    DynamicBatchResult,
-    FixedBatchResult,
-    _at,
-)
+from ..compiled import _EPS, DynamicBatchResult, FixedBatchResult
 from .tape import build_tape
 
 #: up to this many columns (runs × schemes) a section picks processors
@@ -109,10 +105,9 @@ def _check_wcet(st, block: np.ndarray,
 
     The guard products (``c * (1 + 1e-9)``) are precomputed on the tape
     for the scalar case, so the comparisons are float-for-float the ones
-    the per-entry legacy loop performs.  On violation the raised error
-    replicates the legacy selection exactly: the first entry in entry
-    order with any violating run, the first violating run within the
-    group, and the same message.
+    a per-entry check performs.  On violation the raised error names the
+    first entry in entry order with any violating run and the first
+    violating run within the group, in the scalar kernel's message.
     """
     act = block[:, st.comp_cols]
     if c_all is not None:
@@ -126,12 +121,12 @@ def _check_wcet(st, block: np.ndarray,
         c_g = c_all[e] if c_all is not None else st.c_list[e]
         raise SimulationError(
             f"actual time {act[k, e_rel]} of {st.names[e]!r} "
-            f"exceeds WCET {_at(c_g, k)}")
+            f"exceeds WCET {c_g[k] if isinstance(c_g, np.ndarray) else c_g}")
 
 
 def _precheck_wcet(tape, matrix: np.ndarray, groups,
                    point_of: Optional[np.ndarray]) -> None:
-    """Raise the legacy WCET error, if any run exceeds a WCET on its path.
+    """Raise the WCET error, if any run exceeds a WCET on its path.
 
     A batch whose every column stays within the smallest guard any point
     applies to it passes outright (``fmax`` skips NaN, which fails every
@@ -378,8 +373,26 @@ def run_fixed_tape(prog, power: PowerModel,
                    check_deadline: bool = True,
                    point_of: Optional[np.ndarray] = None
                    ) -> List[FixedBatchResult]:
-    """Tape-interpreted :func:`repro.sim.compiled.run_fixed_batch`:
-    every ``(scheme, speed)`` of ``specs`` over one trie."""
+    """Vectorized fixed-speed simulation of a whole realization batch
+    (exported as :func:`repro.sim.compiled.run_fixed_batch`).
+
+    ``specs`` lists ``(scheme, speed)`` pairs over the same program and
+    batch; the result holds one :class:`FixedBatchResult` per pair, in
+    order, and all pairs run in one walk of the trie.  ``matrix`` is the
+    ``(n_runs, n_tasks)`` actual-time matrix in program column order and
+    ``groups``/``path_keys`` the output of
+    :meth:`~repro.sim.compiled.CompiledPlan.executed_paths`.
+    ``overhead`` applies to every pair (a pair at ``S_max`` never
+    switches, so it never consults it).
+
+    **Fused sweeps.**  ``prog`` may be a
+    :class:`~repro.sim.sweepc.StackedProgram` covering several sweep
+    points; ``point_of`` is then the ``(n_runs,)`` point index of every
+    row of ``matrix``, and a speed may be an ``(n_points,)`` vector of
+    per-point fixed speeds.  Every run computes with exactly its own
+    point's floats, so fused outputs are bit-identical to evaluating
+    the points one program at a time.
+    """
     tape = build_tape(prog)
     _precheck_wcet(tape, matrix, groups, point_of)
     perm, leaves = _trie(groups)
@@ -474,8 +487,23 @@ def run_dynamic_tape(prog, power: PowerModel,
                      check_deadline: bool = True,
                      point_of: Optional[np.ndarray] = None
                      ) -> List[DynamicBatchResult]:
-    """Tape-interpreted :func:`repro.sim.compiled.run_dynamic_batch`:
-    every ``(scheme, policy_run)`` of ``specs`` over one trie."""
+    """Vectorized dynamic-scheme simulation of a whole realization batch
+    (exported as :func:`repro.sim.compiled.run_dynamic_batch`).
+
+    ``specs`` lists ``(scheme, policy_run)`` pairs that
+    :func:`~repro.sim.compiled.supports_dynamic_batch` accepts; the
+    result holds one :class:`DynamicBatchResult` per pair, in order.
+    Each processor's current speed is tracked as an index into the
+    discrete level table, so the per-level speed-computation time and
+    power draw are fancy-indexing gathers.  Where the scalar engine
+    *skips* an accumulation (no speed-computation overhead, no switch),
+    this kernel adds an exact ``0.0``, which is bit-identical on the
+    non-negative accumulators involved.  A run is consulted only for
+    its protocol attributes (``floor_const``/``floor_step``/
+    ``or_respec``) and is not mutated; in a fused sweep those may hold
+    ``(n_points,)`` vectors, gathered per run like the program's
+    per-point constants (see :func:`run_fixed_tape`).
+    """
     tape = build_tape(prog)
     _precheck_wcet(tape, matrix, groups, point_of)
     perm, leaves = _trie(groups)
@@ -609,7 +637,7 @@ def run_dynamic_tape(prog, power: PowerModel,
                     want = np.minimum(target, s_max)
                     new_idx = speeds_arr.searchsorted(want - 1e-12,
                                                       side="left")
-                    # searchsorted never returns < 0, so the legacy
+                    # searchsorted never returns < 0, so a
                     # clip(0, n_lv - 1) is exactly an upper clamp — and
                     # np.minimum is a raw ufunc where np.clip is a ~4us
                     # python wrapper

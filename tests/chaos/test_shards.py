@@ -105,3 +105,35 @@ class TestShardExecFaults:
         assert recovered >= 1  # the crash really happened and was handled
         for res, ref in zip(sharded, reference):
             _assert_identical(res, ref)
+
+
+class TestShardBlockAttachFault:
+    def test_attach_failure_falls_back_to_pickle_bit_identically(
+            self, tmp_path, monkeypatch, apps, cfg, reference):
+        """Shard 1's worker cannot attach its result block: it ships the
+        matrix pickled, the fallback is counted exactly once, and the
+        reduced sweep equals the monolithic fused pass bit for bit.
+
+        Result blocks are a local-pool transport, so the context is
+        pinned to the local backend, and the size threshold is dropped
+        so every shard's result travels through a block.
+        """
+        from repro.experiments import fused
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        plan = FaultPlan(specs=(
+            FaultSpec(site="shm-attach", action="raise", key=1),),
+            scratch=str(scratch))
+        monkeypatch.setattr(fused, "SHARD_SHM_MIN_BYTES", 0)
+        with ExecutionContext(n_jobs=3, fault_plan=plan,
+                              backend="local") as ctx:
+            sharded = evaluate_points_fused(apps, [cfg] * len(apps),
+                                            context=ctx, shards=3)
+            resilience = ctx.resilience_stats()
+        meta = take_fused_meta()
+        assert meta["shards"] == 3
+        assert meta["transport"] == "pool"
+        assert resilience["shm_fallbacks"] == 1
+        assert resilience["retries"] == 0  # a transport switch, not a retry
+        for res, ref in zip(sharded, reference):
+            _assert_identical(res, ref)

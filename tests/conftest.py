@@ -68,42 +68,6 @@ def backend(request, monkeypatch):
     return request.param
 
 
-def _kernel_tier_params():
-    """The kernel tiers the golden equivalence suites run against.
-
-    ``REPRO_TEST_KERNEL_TIERS`` (comma-separated) restricts or extends
-    the matrix — the optional CI jit job sets ``numpy,jit`` after
-    installing the ``[jit]`` extra.  The default pins ``legacy`` (the
-    original entry-tuple loop) against ``numpy`` (the tape
-    interpreter), which is the acceptance bar: every parametrized test
-    must produce bit-identical floats under each tier.  ``jit`` params
-    skip at run time when numba is not importable.
-    """
-    names = os.environ.get("REPRO_TEST_KERNEL_TIERS", "legacy,numpy")
-    return [n.strip() for n in names.split(",") if n.strip()]
-
-
-@pytest.fixture(params=_kernel_tier_params())
-def kernel_tier(request, monkeypatch):
-    """Route the batch kernels through one tier per param.
-
-    Patches the session default (``kernels.DEFAULT_KERNEL_TIER``)
-    rather than each call site, mirroring the ``backend`` fixture:
-    tests that evaluate through any API — ``run_fixed_batch`` directly,
-    ``evaluate_application``, fused sweeps — pick the tier up with no
-    per-test edits (``RunConfig.kernel_tier`` defaults to None, which
-    resolves to the session default).
-    """
-    from repro.sim import kernels
-    if request.param == "jit" and not kernels.jit_available():
-        pytest.skip("numba not installed; [jit] extra required")
-    monkeypatch.setattr(kernels, "DEFAULT_KERNEL_TIER", request.param)
-    # spawned pool/dispatch workers re-read the default from the
-    # environment at import time; forked ones inherit the setattr
-    monkeypatch.setenv("REPRO_KERNEL_TIER", request.param)
-    return request.param
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -59,18 +59,6 @@ class TestSerialParallelEquivalence:
         for a, b in zip(serial, pooled):
             assert a.mean_normalized() == b.mean_normalized()
 
-    def test_pool_disables_nested_run_parallelism(self, cfg):
-        # a config asking for run-level workers must not nest pools
-        # inside point-level workers — and must still match serial
-        g = figure3_graph()
-        serial = map_load_points(g, [0.4, 0.7], cfg, n_jobs=1)
-        pooled = map_load_points(g, [0.4, 0.7], cfg.with_(n_jobs=2),
-                                 n_jobs=2)
-        for a, b in zip(serial, pooled):
-            for scheme in a.normalized:
-                assert np.array_equal(a.normalized[scheme],
-                                      b.normalized[scheme])
-
     def test_results_in_submission_order(self, cfg):
         g = figure3_graph()
         results = map_load_points(g, [0.3, 0.9], cfg, n_jobs=2)

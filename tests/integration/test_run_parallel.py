@@ -1,219 +1,17 @@
-"""Run-level parallel evaluation: determinism, chunking, failure paths.
+"""Parallel fan-out failure paths and exact path frequencies.
 
-The contract under test: ``evaluate_application`` samples the full
-realization batch once in the parent from the config seed, so the
-worker count and chunk size may shape wall-clock but must never change
-a single bit of the result.
+The contract under test: a failing worker surfaces promptly as a
+:class:`ParallelError` naming the failing item, and path frequencies
+are exact integer fractions of the recorded runs.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ParallelError
-from repro.experiments import RunConfig, evaluate_application
+from repro.experiments import RunConfig
 from repro.experiments.parallel import map_custom, map_load_points
-from repro.experiments.runner import EvaluationResult, _auto_chunk_size
-from repro.workloads import application_with_load, atr_graph, figure3_graph
-
-
-@pytest.fixture(scope="module")
-def app():
-    return application_with_load(atr_graph(), 0.5, 2)
-
-
-@pytest.fixture(scope="module")
-def serial_result(app):
-    return evaluate_application(app, RunConfig(n_runs=30, seed=11),
-                                n_jobs=1)
-
-
-def _assert_identical(a, b):
-    assert np.array_equal(a.npm_energy, b.npm_energy)
-    assert a.path_keys == b.path_keys
-    assert set(a.normalized) == set(b.normalized)
-    for scheme in a.normalized:
-        assert np.array_equal(a.normalized[scheme], b.normalized[scheme])
-        assert np.array_equal(a.absolute[scheme], b.absolute[scheme])
-        assert np.array_equal(a.speed_changes[scheme],
-                              b.speed_changes[scheme])
-
-
-class TestRunLevelDeterminism:
-    # parallel_min_runs=0 disables the small-batch serial fallback and
-    # run_level_pool=True opts into the legacy chunked pool, so these
-    # bench-sized batches genuinely exercise the worker pool
-
-    def test_pooled_identical_to_serial(self, app, serial_result):
-        pooled = evaluate_application(
-            app, RunConfig(n_runs=30, seed=11, parallel_min_runs=0,
-                           run_level_pool=True),
-            n_jobs=4)
-        _assert_identical(serial_result, pooled)
-
-    def test_chunk_size_irrelevant(self, app, serial_result):
-        for chunk in (1, 7, 30):
-            pooled = evaluate_application(
-                app, RunConfig(n_runs=30, seed=11, parallel_min_runs=0,
-                               run_level_pool=True),
-                n_jobs=2, runs_per_chunk=chunk)
-            _assert_identical(serial_result, pooled)
-
-    def test_config_carried_jobs(self, app, serial_result):
-        cfg = RunConfig(n_runs=30, seed=11, n_jobs=3, runs_per_chunk=8,
-                        parallel_min_runs=0, run_level_pool=True)
-        _assert_identical(serial_result, evaluate_application(app, cfg))
-
-    def test_explicit_argument_overrides_config(self, app, serial_result):
-        cfg = RunConfig(n_runs=30, seed=11, n_jobs=4, parallel_min_runs=0,
-                        run_level_pool=True)
-        # n_jobs=1 override must take the sequential path and still match
-        _assert_identical(serial_result,
-                          evaluate_application(app, cfg, n_jobs=1))
-
-    def test_dict_engine_pool_identical(self, app, serial_result):
-        pooled = evaluate_application(
-            app, RunConfig(n_runs=30, seed=11, engine="dict",
-                           parallel_min_runs=0, run_level_pool=True),
-            n_jobs=2)
-        _assert_identical(serial_result, pooled)
-
-    def test_jobs_clamped_to_work(self, app):
-        # 3 runs, 16 workers requested: must not crash or pad results
-        res = evaluate_application(
-            app, RunConfig(n_runs=3, seed=2, parallel_min_runs=0,
-                           run_level_pool=True),
-            n_jobs=16, runs_per_chunk=1)
-        assert res.npm_energy.shape == (3,)
-        assert len(res.path_keys) == 3
-
-
-class TestSerialFallback:
-    """Below ``parallel_min_runs`` a pooled request must run serially."""
-
-    def _spy_pool(self, monkeypatch):
-        # since PR 4 every pool is created inside ExecutionContext.pool
-        import repro.experiments.engine as engine_mod
-        calls = []
-        orig = engine_mod.ProcessPoolExecutor
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("max_workers"))
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", spy)
-        return calls
-
-    def test_small_batch_stays_serial(self, app, serial_result,
-                                      monkeypatch):
-        # 30 runs < DEFAULT_PARALLEL_MIN_RUNS: no pool despite n_jobs=4
-        calls = self._spy_pool(monkeypatch)
-        res = evaluate_application(app, RunConfig(n_runs=30, seed=11,
-                                                  run_level_pool=True),
-                                   n_jobs=4)
-        assert calls == []
-        _assert_identical(serial_result, res)
-
-    def test_zero_threshold_forces_pool(self, app, serial_result,
-                                        monkeypatch):
-        calls = self._spy_pool(monkeypatch)
-        res = evaluate_application(
-            app, RunConfig(n_runs=30, seed=11, parallel_min_runs=0,
-                           run_level_pool=True),
-            n_jobs=2)
-        assert calls == [2]
-        _assert_identical(serial_result, res)
-
-    def test_threshold_boundary_is_inclusive(self, app, monkeypatch):
-        # n_runs == parallel_min_runs is big enough: the pool runs
-        calls = self._spy_pool(monkeypatch)
-        evaluate_application(
-            app, RunConfig(n_runs=30, seed=11, parallel_min_runs=30,
-                           run_level_pool=True),
-            n_jobs=2)
-        assert calls == [2]
-
-    def test_below_threshold_by_one_stays_serial(self, app, monkeypatch):
-        calls = self._spy_pool(monkeypatch)
-        evaluate_application(
-            app, RunConfig(n_runs=30, seed=11, parallel_min_runs=31,
-                           run_level_pool=True),
-            n_jobs=2)
-        assert calls == []
-
-    def test_without_opt_in_no_pool_is_ever_created(self, app,
-                                                    serial_result,
-                                                    monkeypatch):
-        # the PR's headline fix: every threshold open, pool still absent
-        calls = self._spy_pool(monkeypatch)
-        res = evaluate_application(
-            app, RunConfig(n_runs=30, seed=11, parallel_min_runs=0),
-            n_jobs=4)
-        assert calls == []
-        _assert_identical(serial_result, res)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(parallel_min_runs=-1)
-
-    def test_warm_pool_overrides_min_runs_threshold(self, app,
-                                                    serial_result,
-                                                    monkeypatch):
-        # pool startup is the cost the threshold amortizes; once a live
-        # pool is attached there is nothing left to amortize, so a
-        # below-threshold batch uses it rather than idling it
-        from repro.experiments import ExecutionContext
-        calls = self._spy_pool(monkeypatch)
-        with ExecutionContext(n_jobs=2) as ctx:
-            ctx.pool()  # pre-warmed before the evaluation arrives
-            assert calls == [2]
-            res = evaluate_application(
-                app, RunConfig(n_runs=30, seed=11,
-                               parallel_min_runs=1000,
-                               run_level_pool=True),
-                n_jobs=2, context=ctx)
-            assert ctx.pools_created == 1  # reused, never respun
-        assert calls == [2]
-        _assert_identical(serial_result, res)
-
-    def test_cold_attached_context_still_respects_threshold(
-            self, app, serial_result, monkeypatch):
-        # a context whose pool has not started yet would still pay the
-        # startup cost — the threshold keeps applying
-        from repro.experiments import ExecutionContext
-        calls = self._spy_pool(monkeypatch)
-        with ExecutionContext(n_jobs=2) as ctx:
-            res = evaluate_application(
-                app, RunConfig(n_runs=30, seed=11,
-                               parallel_min_runs=1000,
-                               run_level_pool=True),
-                n_jobs=2, context=ctx)
-            assert ctx.pools_created == 0
-        assert calls == []
-        _assert_identical(serial_result, res)
-
-
-class TestChunkKnobValidation:
-    def test_auto_chunk_size_bounds(self):
-        assert _auto_chunk_size(1000, 4) == 63  # ceil(1000/16)
-        assert _auto_chunk_size(3, 8) == 1
-        assert _auto_chunk_size(1, 1) == 1
-
-    def test_negative_jobs_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(n_jobs=-1)
-
-    def test_negative_chunk_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(runs_per_chunk=-5)
-
-    def test_chunk_beyond_runs_rejected(self):
-        with pytest.raises(ConfigError, match="exceeds n_runs"):
-            RunConfig(n_runs=10, runs_per_chunk=11)
-
-    def test_negative_chunk_argument_rejected(self, app):
-        with pytest.raises(ConfigError):
-            evaluate_application(app, RunConfig(n_runs=5),
-                                 runs_per_chunk=-1)
+from repro.experiments.runner import EvaluationResult
+from repro.workloads import figure3_graph
 
 
 def _fail_on(x):

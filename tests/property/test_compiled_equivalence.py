@@ -117,7 +117,6 @@ def test_worst_case_realization_equivalence(scheme):
     _assert_bit_identical(*_both(plan, scheme, power, overhead, rl))
 
 
-@pytest.mark.usefixtures("kernel_tier")
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("gname", ["fork", "nested"])
 def test_evaluation_equivalence(gname, seed):
@@ -126,10 +125,7 @@ def test_evaluation_equivalence(gname, seed):
     Exercises the batch machinery the single-run test cannot: the
     vectorized fixed-speed path (NPM/SPM), the vectorized dynamic path
     (GSS/SS1/SS2/AS/PS), path grouping and the oracle's per-run
-    realization materialization.  Runs once per kernel tier (the
-    ``kernel_tier`` fixture patches the session default), so the dict
-    engine pins the legacy loop, the tape interpreter and — when numba
-    is installed — the JIT cores to the same floats.
+    realization materialization.
     """
     app = application_with_load(GRAPHS[gname], 0.8, 2)
     base = RunConfig(schemes=ALL_SCHEMES, n_runs=40, n_processors=2,
@@ -147,7 +143,6 @@ def test_evaluation_equivalence(gname, seed):
                               r_comp.speed_changes[scheme]), scheme
 
 
-@pytest.mark.usefixtures("kernel_tier")
 def test_evaluation_equivalence_infeasible_dynamic():
     """At load 1.0 the dynamic plan is infeasible; both engines must
     degrade the dynamic schemes to NPM identically."""
@@ -161,7 +156,6 @@ def test_evaluation_equivalence_infeasible_dynamic():
                               r_comp.normalized[scheme]), scheme
 
 
-@pytest.mark.usefixtures("kernel_tier")
 @pytest.mark.parametrize("model", ["transmeta", "xscale"])
 def test_evaluation_equivalence_power_models(model):
     """Both discrete power tables agree (different level grids)."""
@@ -223,19 +217,3 @@ def test_fuzzed_evaluation_equivalence(seed, or_depth, load):
                               r_comp.normalized[scheme]), scheme
         assert np.array_equal(r_dict.speed_changes[scheme],
                               r_comp.speed_changes[scheme]), scheme
-
-
-@pytest.mark.usefixtures("kernel_tier")
-def test_pooled_compiled_equals_serial_dict():
-    """The pool path with the compiled engine equals serial dict runs."""
-    app = application_with_load(build_nested_or_graph(), 0.8, 2)
-    base = RunConfig(schemes=ALL_SCHEMES, n_runs=30, n_processors=2,
-                     seed=13)
-    r_dict = evaluate_application(app, base.with_(engine="dict"), n_jobs=1)
-    r_comp = evaluate_application(
-        app, base.with_(engine="compiled", parallel_min_runs=0,
-                        runs_per_chunk=7), n_jobs=2)
-    assert r_dict.path_keys == r_comp.path_keys
-    for scheme in ALL_SCHEMES:
-        assert np.array_equal(r_dict.normalized[scheme],
-                              r_comp.normalized[scheme]), scheme

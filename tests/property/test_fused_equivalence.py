@@ -57,15 +57,9 @@ def _assert_identical(a, b):
                               b.speed_changes[scheme]), scheme
 
 
-@pytest.mark.usefixtures("kernel_tier")
 class TestGoldenEquality:
-    """Fused == per-point compiled == dict engine, bit for bit.
-
-    Runs once per kernel tier as well as per backend: the stacked
-    array program must hold the same floats whether its sections are
-    executed by the legacy entry loop, the tape interpreter or the
-    numba cores.
-    """
+    """Fused == per-point compiled == dict engine, bit for bit, on
+    every backend."""
 
     @pytest.mark.parametrize("graph_fn,label", [
         (atr_graph, "atr"),                    # multi-OR, the paper's app

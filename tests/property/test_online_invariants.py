@@ -152,7 +152,6 @@ def test_zero_rate_stream_has_zero_energy_and_misses(seed, load):
 class TestOfflineEquivalence:
     """The degenerate stream is the offline evaluator, bit for bit."""
 
-    @pytest.mark.usefixtures("kernel_tier")
     @pytest.mark.parametrize("model", ["transmeta", "xscale"])
     def test_single_arrival_matches_evaluate_application(self, model):
         graph = figure3_graph()

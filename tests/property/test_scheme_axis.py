@@ -1,7 +1,7 @@
 """The scheme axis of the tape kernels: one walk, many schemes.
 
-The ``numpy`` tier runs every scheme of a kernel call in one walk of
-the path trie (up to the ``_WALK_ROWS`` row cap).  Stacking must change
+The tape kernels run every scheme of a kernel call in one walk of the
+path trie (up to the ``_WALK_ROWS`` row cap).  Stacking must change
 no float: a stacked walk's energies, finish times and switch counts
 equal, bit for bit, those of one single-scheme walk per scheme — for
 any subset and order of the dynamic schemes (so SS2's step and AS/PS
@@ -157,8 +157,7 @@ def test_fused_walks_equal_one_walk_per_scheme(seed, or_depth, n_runs,
     loads = (0.5, 1.0, 0.8) if with_full_load else (0.5, 0.65, 0.8)
     apps = [application_with_load(graph, ld, 2) for ld in loads]
     cfg = RunConfig(schemes=ALL_SCHEMES, n_runs=n_runs, n_processors=2,
-                    power_model=model, seed=seed % 100_000,
-                    kernel_tier="numpy")
+                    power_model=model, seed=seed % 100_000)
     power = cfg.make_power()
     n_dyn = sum(build_plans(app, cfg, power)[0] is not None for app in apps)
     calls = _fused_calls(apps, cfg)
@@ -167,10 +166,5 @@ def test_fused_walks_equal_one_walk_per_scheme(seed, or_depth, n_runs,
         if kernel is fused.run_dynamic_batch:
             assert [name for name, _run in specs] == list(DYNAMIC)
             assert args[3].shape[0] == n_dyn * n_runs
-        kwargs = dict(kwargs)
-        kwargs.pop("kernel_tier")
-        tape_kernel = (interp.run_fixed_tape
-                       if kernel is fused.run_fixed_batch
-                       else interp.run_dynamic_tape)
-        _assert_stacked_equals_singles(tape_kernel, args, list(specs), cap,
+        _assert_stacked_equals_singles(kernel, args, list(specs), cap,
                                        **kwargs)

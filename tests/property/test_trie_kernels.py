@@ -1,7 +1,7 @@
 """The prefix-trie tape kernels and vectorized path grouping, fuzzed.
 
-The ``numpy`` tier runs each OR-path prefix once for every run below it
-and groups runs by integer path ids.  Small random batches (1-40 runs
+The tape kernels run each OR-path prefix once for every run below them
+and group runs by integer path ids.  Small random batches (1-40 runs
 over random multi-OR graphs) stress what that changes most: many
 one-run path groups, deep paths that share long prefixes, and fused
 stacks where some points have no dynamic plan.  Every result must equal
@@ -62,7 +62,7 @@ def test_numpy_tier_equals_dict_engine(seed, or_depth, n_runs, m, load,
     cfg = RunConfig(schemes=ALL_SCHEMES, n_runs=n_runs, n_processors=m,
                     power_model=model, seed=seed % 100_000)
     r_dict = evaluate_application(app, cfg.with_(engine="dict"))
-    r_tape = evaluate_application(app, cfg.with_(kernel_tier="numpy"))
+    r_tape = evaluate_application(app, cfg)
     _assert_identical(r_tape, r_dict)
 
 
@@ -78,8 +78,7 @@ def test_fused_stack_with_a_point_without_dynamic_plan(seed, or_depth,
     static view's — per point, still the dict engine's floats."""
     graph = _graph(seed, or_depth)
     cfg = RunConfig(schemes=ALL_SCHEMES, n_runs=n_runs, n_processors=2,
-                    power_model=model, seed=seed % 100_000,
-                    kernel_tier="numpy")
+                    power_model=model, seed=seed % 100_000)
     apps = [application_with_load(graph, ld, 2) for ld in (0.6, 1.0, 0.8)]
     power = cfg.make_power()
     has_dyn = [build_plans(app, cfg, power)[0] is not None for app in apps]

@@ -46,7 +46,7 @@ def _record(n_runs):
         alpha=ATR_ALPHA, max_rois=6,
         roi_probs=(0.05, 0.15, 0.20, 0.20, 0.15, 0.15, 0.10)))
     cfg = RunConfig(schemes=PAPER_SCHEMES, n_processors=6, n_runs=n_runs,
-                    seed=5, kernel_tier="numpy")
+                    seed=5)
     calls = {}
     saved = {}
     for name in ("run_fixed_batch", "run_dynamic_batch"):

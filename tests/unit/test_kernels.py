@@ -1,93 +1,23 @@
-"""Kernel-tier registry: resolution rules, cache-key exclusion, tape
-lowering, and the JIT drivers' python cores (exercised without numba).
+"""The tape kernels: tape lowering, error selection and messages, and
+the kernel meta snapshot.
 
-The golden suites pin the tiers bit-identical through the public
-evaluation APIs; these tests pin the registry mechanics — what a tier
-name resolves to, that the tier can never split the evaluation cache,
-and that the tape lowered onto a program is cached and structurally
-sound.
+The golden suites pin the kernels bit-identical to the dict engine
+through the public evaluation APIs; these tests pin what those suites
+cannot see — that the tape lowered onto a program is cached and
+structurally sound, and which run, entry and scheme a doctored batch's
+error names.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.experiments import RunConfig, evaluate_application
-from repro.experiments.evalcache import evaluation_key
+from repro.errors import SimulationError
+from repro.experiments import RunConfig
 from repro.offline import build_plan
 from repro.sim import kernels
 from repro.sim.compiled import compile_plan
 from repro.workloads import application_with_load, atr_graph
 from tests.conftest import build_nested_or_graph
-
-
-class TestTierResolution:
-    def test_default_is_the_numpy_tape_interpreter(self):
-        # RunConfig.kernel_tier=None must resolve to the session
-        # default, which (absent REPRO_KERNEL_TIER) is the tape tier
-        assert kernels.resolve_kernel_tier(None) == \
-            kernels.DEFAULT_KERNEL_TIER
-
-    def test_session_default_is_monkeypatchable(self, monkeypatch):
-        monkeypatch.setattr(kernels, "DEFAULT_KERNEL_TIER", "legacy")
-        assert kernels.resolve_kernel_tier(None) == "legacy"
-
-    def test_concrete_tiers_pass_through_idempotently(self):
-        for tier in ("legacy", "numpy"):
-            assert kernels.resolve_kernel_tier(tier) == tier
-            assert kernels.resolve_kernel_tier(
-                kernels.resolve_kernel_tier(tier)) == tier
-
-    def test_auto_without_numba_warns_once_and_falls_back(self,
-                                                          monkeypatch):
-        monkeypatch.setattr(kernels, "_jit_probe", False)
-        monkeypatch.setattr(kernels, "_warned_no_jit", False)
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            assert kernels.resolve_kernel_tier("auto") == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second warning would raise
-            assert kernels.resolve_kernel_tier("jit") == "numpy"
-
-    def test_auto_with_numba_selects_jit(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_jit_probe", True)
-        assert kernels.resolve_kernel_tier("auto") == "jit"
-        assert kernels.resolve_kernel_tier("jit") == "jit"
-
-    def test_unknown_tier_raises(self):
-        with pytest.raises(ConfigError):
-            kernels.resolve_kernel_tier("vectorized")
-        with pytest.raises(ConfigError):
-            kernels.get_kernels("vectorized")
-
-    def test_runconfig_validation_in_sync_with_registry(self):
-        # RunConfig hardcodes the accepted names to stay import-light;
-        # this pins them to the registry so they cannot drift apart
-        for tier in ("auto",) + kernels.TIERS:
-            assert RunConfig(kernel_tier=tier).kernel_tier == tier
-        with pytest.raises(ConfigError):
-            RunConfig(kernel_tier="vectorized")
-
-    def test_get_kernels_returns_distinct_callables_per_tier(self):
-        fixed_l, dyn_l = kernels.get_kernels("legacy")
-        fixed_n, dyn_n = kernels.get_kernels("numpy")
-        fixed_j, dyn_j = kernels.get_kernels("jit")
-        assert len({fixed_l, fixed_n, fixed_j}) == 3
-        assert len({dyn_l, dyn_n, dyn_j}) == 3
-
-
-class TestCacheKeyExclusion:
-    def test_tier_never_splits_the_evaluation_cache(self):
-        # the tier is an execution knob: every tier is bit-identical,
-        # so cached results must be shared across them
-        app = application_with_load(atr_graph(), 0.5, 2)
-        base = RunConfig(schemes=("GSS",), n_runs=10, seed=1)
-        keys = {evaluation_key(app, base.with_(kernel_tier=t))
-                for t in (None, "auto", "legacy", "numpy", "jit")}
-        assert len(keys) == 1
-        # sanity: result-relevant fields do split the key
-        assert evaluation_key(app, base.with_(seed=2)) not in keys
 
 
 class TestTapeLowering:
@@ -110,23 +40,38 @@ class TestTapeLowering:
         for sid, sec in prog.sections.items():
             st = tape.sections[sid]
             n = len(sec.entries)
-            assert st.kind.shape == (n,)
-            assert st.pred_off.shape == (n + 1,)
-            assert st.pred_off[0] == 0
-            assert st.pred_off[-1] == len(st.pred_idx)
-            # CSR rows reproduce each entry's predecessor list exactly
-            for k, entry in enumerate(sec.entries):
-                row = st.pred_idx[st.pred_off[k]:st.pred_off[k + 1]]
-                assert list(row) == list(entry[6])
+            assert st.n_entries == len(st.steps) == len(st.names) == n
+            gids = [entry[1] for entry in sec.entries]
+            comp = [k for k, entry in enumerate(sec.entries)
+                    if not entry[0]]
+            assert list(st.comp_sel) == comp
+            assert list(st.comp_cols) == [sec.entries[k][2] for k in comp]
+            for k, (entry, (is_and, pred, crel)) in enumerate(
+                    zip(sec.entries, st.steps)):
+                assert is_and == entry[0]
+                assert crel == (comp.index(k) if not is_and else -1)
+                # the step's entry indices name exactly the entry's
+                # predecessor slots, each an earlier entry
+                preds = ([] if pred is None
+                         else [pred] if isinstance(pred, int)
+                         else list(pred))
+                assert [gids[p] for p in preds] == list(entry[6])
+                assert all(p < k for p in preds)
 
 
 class TestWcetPrecheck:
-    """The tape interpreter hoists the per-entry WCET check into one
-    per-section precheck; pin its error selection (first entry in entry
-    order with any violating run, first violating run in the group) and
-    its message to the legacy kernel, which checks entry by entry."""
+    """The tape kernels check every WCET once per call, ahead of the
+    walks; pin the error they raise: the first entry in entry order with
+    a violating run, the first violating run of the group, and the
+    scalar kernel's message."""
 
-    def _doctored_batch(self):
+    @staticmethod
+    def _doctored_batch():
+        """A batch with two computation entries of one executed section
+        doctored past their WCET — the later entry on every run of a
+        path group, the earlier one on every run but the group's first —
+        plus the message the kernels must raise for it: the earlier
+        entry at the group's *second* run."""
         from repro.sim import sample_realization_batch
         app = application_with_load(atr_graph(), 0.6, 2)
         plan = build_plan(app, 2)
@@ -135,57 +80,50 @@ class TestWcetPrecheck:
         batch = sample_realization_batch(plan.structure, rng, 64)
         matrix = prog.realization_matrix(batch)
         groups, path_keys = prog.executed_paths(batch.choices, len(batch))
-        tape = kernels.build_tape(prog)
-        # doctor two computation entries of one executed section past
-        # their WCET — later entry on every run, earlier entry on every
-        # run but the group's first — so the raised error must name the
-        # earlier entry and the group's *second* run
-        path, idx, st = next(
-            (path, idx, tape.sections[sid])
+        # entries are (is_and, gid, col, wcet, finish_bound, name, preds)
+        idx, first, later = next(
+            (idx, comp[0], comp[1])
             for path, idx in groups if idx.size >= 2
-            for sid in path if tape.sections[sid].comp_cols.size >= 2)
-        matrix[idx[1:], st.comp_cols[0]] = 1e9
-        matrix[idx, st.comp_cols[1]] = 1e9
-        return plan, prog, matrix, groups, path_keys
+            for comp in ([e for e in prog.sections[sid].entries
+                          if not e[0]] for sid in path)
+            if len(comp) >= 2)
+        # distinct values per run, so the message pins the run too
+        matrix[idx[1:], first[2]] = 1e9 + np.arange(1, idx.size)
+        matrix[idx, later[2]] = 2e9 + np.arange(idx.size)
+        want = (f"actual time {matrix[idx[1], first[2]]} of "
+                f"{first[5]!r} exceeds WCET {first[3]}")
+        return plan, prog, matrix, groups, path_keys, want
 
-    def test_fixed_kernel_error_matches_legacy(self):
+    def test_fixed_kernel_names_earlier_entry_second_run(self):
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim.compiled import run_fixed_batch
-        _plan, prog, matrix, groups, path_keys = self._doctored_batch()
+        _plan, prog, matrix, groups, path_keys, want = \
+            self._doctored_batch()
         power = transmeta_model()
-        msgs = {}
-        for tier in ("legacy", "numpy"):
-            with pytest.raises(SimulationError) as ei:
-                run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix,
-                                groups, path_keys, [("NPM", power.s_max)],
-                                kernel_tier=tier)
-            msgs[tier] = str(ei.value)
-        assert "exceeds WCET" in msgs["legacy"]
-        assert msgs["numpy"] == msgs["legacy"]
+        with pytest.raises(SimulationError) as ei:
+            run_fixed_batch(prog, power, PAPER_OVERHEAD, matrix, groups,
+                            path_keys, [("NPM", power.s_max)])
+        assert str(ei.value) == want
 
-    def test_dynamic_kernel_error_matches_legacy(self):
+    def test_dynamic_kernel_names_earlier_entry_second_run(self):
         from repro.core import get_policy
         from repro.power import PAPER_OVERHEAD, transmeta_model
         from repro.sim import supports_dynamic_batch
         from repro.sim.compiled import run_dynamic_batch
-        plan, prog, matrix, groups, path_keys = self._doctored_batch()
+        plan, prog, matrix, groups, path_keys, want = \
+            self._doctored_batch()
         power = transmeta_model()
         run = get_policy("GSS").start_run(plan, power, PAPER_OVERHEAD)
         assert supports_dynamic_batch(run, power)
-        msgs = {}
-        for tier in ("legacy", "numpy"):
-            with pytest.raises(SimulationError) as ei:
-                run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix,
-                                  groups, path_keys, [("GSS", run)],
-                                  kernel_tier=tier)
-            msgs[tier] = str(ei.value)
-        assert "exceeds WCET" in msgs["legacy"]
-        assert msgs["numpy"] == msgs["legacy"]
+        with pytest.raises(SimulationError) as ei:
+            run_dynamic_batch(prog, power, PAPER_OVERHEAD, matrix, groups,
+                              path_keys, [("GSS", run)])
+        assert str(ei.value) == want
 
 
 class TestStackedErrorParity:
-    """A ``numpy`` walk over several schemes raises what a per-scheme
-    loop raises: the first failing scheme's error, in caller order,
+    """A walk over several schemes raises what a per-scheme loop
+    raises: the first failing scheme's error, in caller order,
     also when a tiny row cap splits the schemes over several walks."""
 
     @staticmethod
@@ -234,8 +172,9 @@ class TestStackedErrorParity:
         assert isinstance(want, DeadlineMissError)
         assert want.scheme == "SLOW"
         with pytest.raises(DeadlineMissError) as ei:
-            run_fixed_batch(*args, specs, kernel_tier="legacy")
+            run_fixed_batch(*args, specs)
         assert ei.value.scheme == "SLOW"
+        assert str(ei.value).startswith("scheme 'SLOW' finished at ")
 
     def test_guarantee_violation_follows_caller_order(self, monkeypatch):
         """The second scheme violates only after ``t > 0`` and the third
@@ -257,18 +196,14 @@ class TestStackedErrorParity:
         assert str(want) != str(self._loop_error(
             run_dynamic_tape, args, specs[2:]))
 
-    def test_wcet_violation_is_checked_once_with_legacy_message(
-            self, monkeypatch):
-        from repro.sim.compiled import run_fixed_batch
-        from repro.sim.kernels import interp
-        _plan, prog, matrix, groups, keys = \
-            TestWcetPrecheck()._doctored_batch()
-        power = self._inputs()[1]
+    def test_wcet_violation_is_checked_once(self, monkeypatch):
         from repro.power import PAPER_OVERHEAD
+        from repro.sim.kernels import interp
+        _plan, prog, matrix, groups, keys, want = \
+            TestWcetPrecheck._doctored_batch()
+        power = self._inputs()[1]
         args = (prog, power, PAPER_OVERHEAD, matrix, groups, keys)
         specs = [("NPM", power.s_max), ("A", 0.8), ("B", 0.6)]
-        with pytest.raises(SimulationError) as legacy:
-            run_fixed_batch(*args, specs, kernel_tier="legacy")
         calls = []
         precheck = interp._precheck_wcet
         monkeypatch.setattr(interp, "_precheck_wcet",
@@ -276,8 +211,7 @@ class TestStackedErrorParity:
         monkeypatch.setattr(interp, "_WALK_ROWS", 1)
         with pytest.raises(SimulationError) as ei:
             interp.run_fixed_tape(*args, specs)
-        assert "exceeds WCET" in str(ei.value)
-        assert str(ei.value) == str(legacy.value)
+        assert str(ei.value) == want
         assert calls == [1]
 
     @pytest.mark.parametrize("which", ["fixed", "dynamic"])
@@ -314,47 +248,10 @@ class TestStackedErrorParity:
         assert str(want).startswith("negative idle time")
 
 
-class TestJitPythonCores:
-    """The jit drivers run their (numba-targeted) cores as plain
-    python when numba is absent — pin them bit-identical to the
-    legacy kernels through the full evaluation API."""
-
-    @pytest.fixture(autouse=True)
-    def force_jit_driver(self, monkeypatch):
-        # bypass the numba probe: resolve every request to the jit
-        # driver, whose cores run uncompiled without numba
-        monkeypatch.setattr(kernels, "resolve_kernel_tier",
-                            lambda tier=None: "jit")
-
-    @pytest.mark.parametrize("model", ["transmeta", "xscale"])
-    def test_jit_driver_equals_dict_engine(self, model):
-        from repro.core import ALL_SCHEMES
-        app = application_with_load(build_nested_or_graph(), 0.8, 2)
-        cfg = RunConfig(schemes=ALL_SCHEMES, n_runs=25, seed=13,
-                        power_model=model)
-        r_jit = evaluate_application(app, cfg)
-        r_dict = evaluate_application(app, cfg.with_(engine="dict"))
-        assert r_jit.path_keys == r_dict.path_keys
-        for scheme in ALL_SCHEMES:
-            assert np.array_equal(r_jit.absolute[scheme],
-                                  r_dict.absolute[scheme]), scheme
-            assert np.array_equal(r_jit.speed_changes[scheme],
-                                  r_dict.speed_changes[scheme]), scheme
-
-    def test_jit_driver_handles_infeasible_dynamic_plans(self):
-        app = application_with_load(atr_graph(), 1.0, 2)
-        cfg = RunConfig(schemes=("GSS", "AS"), n_runs=10, seed=11)
-        r_jit = evaluate_application(app, cfg)
-        r_dict = evaluate_application(app, cfg.with_(engine="dict"))
-        for scheme in cfg.schemes:
-            assert np.array_equal(r_jit.normalized[scheme],
-                                  r_dict.normalized[scheme]), scheme
-
-
 class TestKernelMeta:
     def test_meta_snapshot_shape(self):
-        meta = kernels.kernel_meta("legacy")
-        assert meta["tier"] == "legacy"
+        meta = kernels.kernel_meta()
+        assert set(meta) == {"program_cache", "tape_cache", "stacked_cache"}
         assert set(meta["program_cache"]) == {"hits", "misses", "size"}
         assert set(meta["stacked_cache"]) == {"hits", "misses", "size"}
         # tapes live on their program instances — no store, no size
@@ -365,5 +262,5 @@ class TestKernelMeta:
         cfg = RunConfig(schemes=("SPM",), n_runs=5, seed=2)
         series = sweep_load(atr_graph(), cfg, loads=(0.4, 0.6))
         kernel = series.meta["kernel"]
-        assert kernel["tier"] == kernels.resolve_kernel_tier(None)
-        assert "tape_cache" in kernel and "stacked_cache" in kernel
+        assert set(kernel) == {"program_cache", "tape_cache",
+                               "stacked_cache"}

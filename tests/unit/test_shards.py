@@ -215,7 +215,7 @@ class TestShardBlockTransport:
         if block is None:
             pytest.skip("shared memory unavailable on this platform")
         # the worker writes through an unpickled descriptor
-        pickle.loads(pickle.dumps(block)).publish(matrix)
+        pickle.loads(pickle.dumps(block)).publish(matrix, key=0)
         out = block.take()
         assert np.array_equal(out, matrix)
         assert out.dtype == matrix.dtype
@@ -230,12 +230,12 @@ class TestShardBlockTransport:
         block = ShardBlock.allocate((2, 3))
         if block is None:
             pytest.skip("shared memory unavailable on this platform")
-        block.publish(np.ones((2, 3)))
+        block.publish(np.ones((2, 3)), key=0)
         block.take()  # consumes and unlinks the segment
         with pytest.raises(TransportError):
             block.take()
         with pytest.raises(TransportError):  # a late worker write
-            block.publish(np.ones((2, 3)))
+            block.publish(np.ones((2, 3)), key=0)
         block.release()  # idempotent
 
     def test_pickled_fallback_is_counted_and_exact(self):
